@@ -15,7 +15,7 @@ use cardest_core::{
 use cardest_data::{Record, Workload};
 use cardest_fx::FeatureExtractor;
 use cardest_nn::layers::{Activation, Mlp};
-use cardest_nn::{loss, Adam, Matrix, Optimizer, Parallelism, ParamStore, Tape};
+use cardest_nn::{loss, Adam, Matrix, Optimizer, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -139,15 +139,6 @@ impl CardinalityEstimator for DlDnn {
     /// path, so batch estimates are bit-identical to scalar `estimate`
     /// calls (pinned by the `batched_dnn_matches_scalar_bitwise` test).
     fn estimate_batch(&self, prepared: &[&PreparedQuery], thetas: &[f64]) -> Vec<Estimate> {
-        self.estimate_batch_par(prepared, thetas, Parallelism::serial())
-    }
-
-    fn estimate_batch_par(
-        &self,
-        prepared: &[&PreparedQuery],
-        thetas: &[f64],
-        par: Parallelism,
-    ) -> Vec<Estimate> {
         assert_eq!(
             prepared.len(),
             thetas.len(),
@@ -169,7 +160,7 @@ impl CardinalityEstimator for DlDnn {
             row[dim] = (theta / self.theta_max.max(1e-12)) as f32;
         }
         let x = Matrix::from_vec(prepared.len(), width, data);
-        let pred = self.mlp.infer_with(&self.store, &x, par);
+        let pred = self.mlp.infer(&self.store, &x);
         let source: Arc<str> = CardinalityEstimator::name(self).into();
         (0..prepared.len())
             .map(|r| Estimate::exact(f64::from(pred.get(r, 0))).with_source(Arc::clone(&source)))
@@ -330,9 +321,9 @@ mod tests {
 
     #[test]
     fn batched_dnn_matches_scalar_bitwise() {
-        // The stacked batch kernel (and its threaded variant) must agree
-        // with per-query `estimate` bit for bit — same contract as CardNet's
-        // batch path, which is what lets the serve layer batch baselines too.
+        // The stacked batch kernel must agree with per-query `estimate` bit
+        // for bit — same contract as CardNet's batch path, which is what lets
+        // the serve layer batch baselines too.
         let (ds, train_wl, test_wl) = setup();
         let f = BaselineFeaturizer::from_dataset(&ds, 1);
         let opts = DnnOptions {
@@ -352,17 +343,15 @@ mod tests {
             .collect();
         let prepared: Vec<PreparedQuery> = queries.iter().map(|q| dnn.prepare(q)).collect();
         let refs: Vec<&PreparedQuery> = prepared.iter().collect();
-        for threads in [1usize, 4] {
-            let batch = dnn.estimate_batch_par(&refs, &thetas, Parallelism::threads(threads));
-            for ((q, &theta), got) in queries.iter().zip(&thetas).zip(&batch) {
-                let want = dnn.estimate(q, theta);
-                assert_eq!(
-                    got.value.to_bits(),
-                    want.to_bits(),
-                    "threads={threads} θ={theta}: {} vs {want}",
-                    got.value
-                );
-            }
+        let batch = dnn.estimate_batch(&refs, &thetas);
+        for ((q, &theta), got) in queries.iter().zip(&thetas).zip(&batch) {
+            let want = dnn.estimate(q, theta);
+            assert_eq!(
+                got.value.to_bits(),
+                want.to_bits(),
+                "θ={theta}: {} vs {want}",
+                got.value
+            );
         }
     }
 

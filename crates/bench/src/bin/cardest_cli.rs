@@ -28,7 +28,7 @@ use cardest_core::model::CardNetConfig;
 use cardest_core::snapshot::Snapshot;
 use cardest_core::train::{train_cardnet, TrainerOptions};
 use cardest_core::CardNetEstimator;
-use cardest_core::{KernelBackend, Parallelism};
+use cardest_core::Parallelism;
 use cardest_data::synth::{self, SynthConfig};
 use cardest_data::Record;
 use cardest_data::{io as dio, Dataset, Workload};
@@ -74,16 +74,14 @@ const USAGE: &str = "usage:
   cardest_cli gen      --kind <hm|ed|jc|eu> --n <records> [--seed <u64>] --out <file>
   cardest_cli train    --data <file> --model <file> [--accelerated] [--epochs <n>] [--tau-max <n>]
                        [--threads <n kernel workers; 0 = all cores>]
-                       [--kernel-backend <scalar|blocked|simd|auto>]
   cardest_cli estimate --data <file> --model <file> --query <record-index> --theta <f64> [--curve]
                        [--threads <n kernel workers; 0 = all cores>]
-                       [--kernel-backend <scalar|blocked|simd|auto>]
   cardest_cli estimate --data <file> --model <file> --queries <file with `<index> <theta>` lines>
+                       [--threads <n>] [serve's batching, cache and tracing flags]
   cardest_cli serve    --data <file> --model <file> [--workers <n>] [--batch-max <n>]
+                       [--threads <n kernel workers per micro-batch; 0 = all cores>]
                        [--batch-window-us <n>] [--cache <entries>] [--bound-tolerance <f64>]
                        [--cache-curve-points <n>] [--pipeline <n outstanding>]
-                       [--kernel-threads <n per micro-batch>]
-                       [--kernel-backend <scalar|blocked|simd|auto>]
                        [--listen [ADDR]] [--max-conns <n; 0 = unlimited>]
                        [--queue-limit <in-flight requests; 0 = unbounded>]
                        [--deadline-ms <per-request default; 0 = none>]
@@ -98,11 +96,12 @@ const USAGE: &str = "usage:
                        [--index-range <loadgen query indices, default 1>]
                        [--theta <loadgen threshold, default 4>]
 
-Thread counts and kernel backends only change wall clock: every kernel tier
-(scalar, blocked, explicit SIMD) is bit-identical, so estimates and trained
-weights never depend on them. Without --kernel-backend the process default
-applies: the CARDEST_KERNEL_BACKEND env var if set, else the best the CPU
-supports (AVX-512 → AVX2 → blocked).";
+Thread counts only change wall clock: every thread count and every kernel
+tier (scalar, blocked, explicit SIMD) is bit-identical, so estimates and
+trained weights never depend on them. The tier is picked once per process:
+the CARDEST_KERNEL_BACKEND env var (scalar|blocked|simd|auto) if set, else
+the best the CPU supports (AVX-512 → AVX2 → blocked). A flag the subcommand
+does not read is an error.";
 
 type Flags = HashMap<String, String>;
 
@@ -130,6 +129,45 @@ fn parse(args: &[String]) -> Option<(String, Flags)> {
     Some((cmd, flags))
 }
 
+/// Flags read by `train` and by every subcommand that restores a snapshot
+/// through [`load_estimator`].
+const LOAD_FLAGS: &[&str] = &["data", "model", "threads"];
+/// Flags [`serve_config_from_flags`] reads.
+const SERVE_FLAGS: &[&str] = &[
+    "workers",
+    "batch-max",
+    "batch-window-us",
+    "cache",
+    "bound-tolerance",
+    "cache-curve-points",
+    "no-tracing",
+    "trace-sample",
+    "slow-threshold-ms",
+];
+/// Flags [`net_config_from_flags`] reads.
+const NET_FLAGS: &[&str] = &[
+    "max-conns",
+    "queue-limit",
+    "deadline-ms",
+    "client-quota",
+    "frame-timeout-ms",
+    "idle-timeout-ms",
+];
+
+/// Rejects the first flag (in name order) outside `known`: `parse` accepts
+/// any `--name`, so a typo or another subcommand's flag would otherwise be
+/// silently ignored.
+fn check_flags(flags: &Flags, known: &[&[&str]]) -> Result<(), String> {
+    let unknown = flags
+        .keys()
+        .filter(|k| !known.iter().any(|set| set.contains(&k.as_str())))
+        .min();
+    match unknown {
+        None => Ok(()),
+        Some(k) => Err(format!("unknown flag --{k} for this subcommand\n{USAGE}")),
+    }
+}
+
 fn required<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
@@ -147,6 +185,7 @@ fn parsed<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result
 }
 
 fn cmd_gen(flags: &Flags) -> Result<(), String> {
+    check_flags(flags, &[&["kind", "n", "seed", "out"]])?;
     let kind = required(flags, "kind")?;
     let n: usize = parsed(flags, "n", 2000)?;
     let seed: u64 = parsed(flags, "seed", 42)?;
@@ -171,12 +210,13 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
+    check_flags(flags, &[LOAD_FLAGS, &["accelerated", "epochs", "tau-max"]])?;
     let ds = dio::load_jsonl(Path::new(required(flags, "data")?)).map_err(|e| e.to_string())?;
     let model_path = PathBuf::from(required(flags, "model")?);
     let accelerated = flags.contains_key("accelerated");
     let epochs: usize = parsed(flags, "epochs", 56)?;
     let tau_max: usize = parsed(flags, "tau-max", 16)?;
-    let threads = kernel_threads_flag(flags, "threads")?;
+    let threads = threads_flag(flags)?;
 
     let wl = Workload::sample_from(&ds, 0.10, 12, 7);
     let split = wl.split(13);
@@ -188,7 +228,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let opts = TrainerOptions {
         epochs,
         threads,
-        kernel_backend: kernel_backend_flag(flags)?,
         ..TrainerOptions::default()
     };
     let (trainer, report) = train_cardnet(fx.as_ref(), &split.train, &split.valid, cfg, opts);
@@ -216,38 +255,18 @@ fn load_estimator(flags: &Flags) -> Result<(Dataset, CardNetEstimator), String> 
     // deterministic, and `into_estimator` rejects any mismatch.
     let fx = build_extractor(&ds, snap.tau_max, 1);
     let mut est = snap.into_estimator(fx).map_err(|e| e.to_string())?;
-    est.set_parallelism(kernel_parallelism_flags(flags, "threads")?);
+    est.set_parallelism(Parallelism::threads(threads_flag(flags)?));
     Ok((ds, est))
 }
 
-/// Reads a worker-count flag; `0` means "one per hardware thread".
-fn kernel_threads_flag(flags: &Flags, name: &str) -> Result<usize, String> {
-    let n: usize = parsed(flags, name, 1)?;
+/// Reads `--threads`; `0` means "one per hardware thread".
+fn threads_flag(flags: &Flags) -> Result<usize, String> {
+    let n: usize = parsed(flags, "threads", 1)?;
     Ok(if n == 0 {
         Parallelism::auto().thread_count()
     } else {
         n
     })
-}
-
-/// Reads `--kernel-backend`; absent means "process default" (the
-/// `CARDEST_KERNEL_BACKEND` env var, else CPU auto-detection), `auto` pins
-/// the detected best tier explicitly.
-fn kernel_backend_flag(flags: &Flags) -> Result<Option<KernelBackend>, String> {
-    match flags.get("kernel-backend") {
-        None => Ok(None),
-        Some(v) => KernelBackend::parse(v).map(Some).ok_or_else(|| {
-            format!("--kernel-backend: `{v}` not recognized (want scalar|blocked|simd|auto)")
-        }),
-    }
-}
-
-/// The kernel budget from `--threads`-style and `--kernel-backend` flags.
-fn kernel_parallelism_flags(flags: &Flags, threads_flag: &str) -> Result<Parallelism, String> {
-    Ok(
-        Parallelism::threads(kernel_threads_flag(flags, threads_flag)?)
-            .with_backend_opt(kernel_backend_flag(flags)?),
-    )
 }
 
 /// Parses one `<record-index> <theta>` request line.
@@ -283,8 +302,6 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
         cache_capacity: parsed(flags, "cache", defaults.cache_capacity)?,
         bound_tolerance: parsed(flags, "bound-tolerance", 0.0)?,
         cache_curve_points: parsed(flags, "cache-curve-points", 0usize)?,
-        kernel_threads: kernel_threads_flag(flags, "kernel-threads")?,
-        kernel_backend: kernel_backend_flag(flags)?,
         tracing: !flags.contains_key("no-tracing"),
         trace_sample: parsed(flags, "trace-sample", defaults.trace_sample)?,
         slow_threshold: Duration::from_millis(parsed(
@@ -299,6 +316,7 @@ fn cmd_estimate(flags: &Flags) -> Result<(), String> {
     if let Some(queries_path) = flags.get("queries") {
         return cmd_estimate_batch(flags, Path::new(queries_path));
     }
+    check_flags(flags, &[LOAD_FLAGS, &["query", "theta", "curve"]])?;
     let (ds, est) = load_estimator(flags)?;
     let query_idx: usize = parsed(flags, "query", 0)?;
     let theta: f64 = required(flags, "theta")?
@@ -333,6 +351,7 @@ fn cmd_estimate(flags: &Flags) -> Result<(), String> {
 /// serving layer (micro-batched, cached), one estimate printed per line in
 /// input order.
 fn cmd_estimate_batch(flags: &Flags, queries_path: &Path) -> Result<(), String> {
+    check_flags(flags, &[LOAD_FLAGS, SERVE_FLAGS, &["queries"]])?;
     let (ds, est) = load_estimator(flags)?;
     let text = std::fs::read_to_string(queries_path).map_err(|e| e.to_string())?;
     let requests: Vec<(usize, f64)> = text
@@ -476,8 +495,22 @@ fn cmd_serve_socket(flags: &Flags, ds: Dataset, est: CardNetEstimator) -> Result
 
 /// Long-running serve mode: request lines on stdin, estimates on stdout.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    let listen = flags.contains_key("listen");
+    if listen {
+        check_flags(
+            flags,
+            &[
+                LOAD_FLAGS,
+                SERVE_FLAGS,
+                NET_FLAGS,
+                &["listen", "metrics-addr"],
+            ],
+        )?;
+    } else {
+        check_flags(flags, &[LOAD_FLAGS, SERVE_FLAGS, &["pipeline"]])?;
+    }
     let (ds, est) = load_estimator(flags)?;
-    if flags.contains_key("listen") {
+    if listen {
         return cmd_serve_socket(flags, ds, est);
     }
     let monotone = est.is_monotonic();
@@ -575,8 +608,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("connect") {
+        check_flags(flags, &[&["connect", "loadgen", "theta", "index-range"]])?;
         return cmd_stats_remote(flags);
     }
+    check_flags(flags, &[&["data"]])?;
     let ds = dio::load_jsonl(Path::new(required(flags, "data")?)).map_err(|e| e.to_string())?;
     println!("name:      {}", ds.name);
     println!("distance:  {}", ds.kind.name());
@@ -673,4 +708,54 @@ fn cmd_stats_remote(flags: &Flags) -> Result<(), String> {
     }
     eprintln!("counters reconcile with client-side observations");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    type Cmd = fn(&Flags) -> Result<(), String>;
+
+    fn flags(args: &[&str]) -> Flags {
+        let args: Vec<String> = std::iter::once("cmd")
+            .chain(args.iter().copied())
+            .map(String::from)
+            .collect();
+        parse(&args).expect("well-formed arguments").1
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_read() {
+        let cases: [(Cmd, &[&str], &str); 6] = [
+            (cmd_serve, &["--data", "d", "--backend", "simd"], "backend"),
+            (cmd_train, &["--data", "d", "--thread", "4"], "thread"),
+            (cmd_estimate, &["--query", "1", "--workers", "2"], "workers"),
+            (cmd_serve, &["--listen", "--pipeline", "4"], "pipeline"),
+            (cmd_gen, &["--kind", "hm", "--threads", "2"], "threads"),
+            (
+                cmd_stats,
+                &["--connect", "127.0.0.1:1", "--data", "d"],
+                "data",
+            ),
+        ];
+        for (cmd, args, bad) in cases {
+            let err = cmd(&flags(args)).expect_err("unknown flag accepted");
+            assert!(
+                err.starts_with(&format!("unknown flag --{bad} ")),
+                "{args:?}: {err}"
+            );
+        }
+        // Every flag serve reads passes the check; the missing files fail next.
+        let known = [
+            "--data",
+            "d",
+            "--threads",
+            "2",
+            "--listen",
+            "--queue-limit",
+            "8",
+        ];
+        let err = cmd_serve(&flags(&known)).expect_err("no such data file");
+        assert!(!err.starts_with("unknown flag"), "{err}");
+    }
 }

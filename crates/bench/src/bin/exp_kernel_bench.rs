@@ -8,8 +8,9 @@
 //! * **train-epoch** wall clock, serial vs. threaded trainer — and the
 //!   trained parameter stores must be *bit-identical* (same RNG schedule,
 //!   same bits per kernel call, therefore same weights);
-//! * **batch-estimate** wall clock through `estimate_batch` /
-//!   `estimate_batch_par`, values compared bitwise;
+//! * **batch-estimate** wall clock through `estimate_batch` on a serial
+//!   vs. threaded estimator (`set_parallelism`), and on one pinned to each
+//!   backend, values compared bitwise;
 //! * **evaluate fan-out**: `report::evaluate` vs `report::evaluate_par`.
 //!
 //! Writes `BENCH_kernels.json` (override the path with `CARDEST_BENCH_OUT`)
@@ -253,7 +254,7 @@ fn main() -> ExitCode {
     );
 
     // ── 3. Batch-estimate wall clock through the estimator API ───────────
-    let est = CardNetEstimator::from_trainer(fx, serial_trainer);
+    let mut est = CardNetEstimator::from_trainer(fx, serial_trainer);
     let batch_size = if scale.label() == "full" { 512 } else { 256 };
     let queries: Vec<_> = (0..batch_size)
         .map(|i| ds.records[(i * 31) % ds.len()].clone())
@@ -265,13 +266,16 @@ fn main() -> ExitCode {
     let refs: Vec<&PreparedQuery> = prepared.iter().collect();
 
     let serial_values = est.estimate_batch(&refs, &thetas);
-    let threaded_values = est.estimate_batch_par(&refs, &thetas, par);
-    let batch_identical = serial_values
-        .iter()
-        .zip(&threaded_values)
-        .all(|(a, b)| a.value.to_bits() == b.value.to_bits());
+    let same_bits = |values: &[cardest_core::Estimate]| {
+        serial_values
+            .iter()
+            .zip(values)
+            .all(|(a, b)| a.value.to_bits() == b.value.to_bits())
+    };
+    est.set_parallelism(par);
+    let batch_identical = same_bits(&est.estimate_batch(&refs, &thetas));
     if !batch_identical {
-        identity_failures.push("estimate_batch_par diverged from estimate_batch".into());
+        identity_failures.push("threaded estimate_batch diverged from serial".into());
     }
     // Every pinned backend serves the same bits through the batched path.
     for backend in [
@@ -279,24 +283,21 @@ fn main() -> ExitCode {
         KernelBackend::Blocked,
         KernelBackend::Simd,
     ] {
-        let pinned =
-            est.estimate_batch_par(&refs, &thetas, Parallelism::serial().with_backend(backend));
-        if !serial_values
-            .iter()
-            .zip(&pinned)
-            .all(|(a, b)| a.value.to_bits() == b.value.to_bits())
-        {
+        est.set_parallelism(Parallelism::serial().with_backend(backend));
+        if !same_bits(&est.estimate_batch(&refs, &thetas)) {
             identity_failures.push(format!(
-                "estimate_batch_par({}) diverged from estimate_batch",
+                "estimate_batch on {} diverged from serial",
                 backend.label()
             ));
         }
     }
-    let serial_batch_s = best_seconds(3, || {
+    est.set_parallelism(par);
+    let threaded_batch_s = best_seconds(3, || {
         std::hint::black_box(est.estimate_batch(&refs, &thetas));
     });
-    let threaded_batch_s = best_seconds(3, || {
-        std::hint::black_box(est.estimate_batch_par(&refs, &thetas, par));
+    est.set_parallelism(Parallelism::serial());
+    let serial_batch_s = best_seconds(3, || {
+        std::hint::black_box(est.estimate_batch(&refs, &thetas));
     });
     let batch_row = WallClockRow {
         name: "batch-estimate",

@@ -154,8 +154,6 @@ fn in_process_mode(scale: &Scale) -> ExitCode {
                         cache_capacity: 0,
                         bound_tolerance: 0.0,
                         cache_curve_points: 0,
-                        kernel_threads: 1,
-                        kernel_backend: None,
                         ..ServeConfig::default()
                     },
                     clients,
@@ -213,8 +211,6 @@ fn in_process_mode(scale: &Scale) -> ExitCode {
             cache_capacity: 4096,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
             ..ServeConfig::default()
         },
         8.min(n_requests),
@@ -274,8 +270,6 @@ fn in_process_mode(scale: &Scale) -> ExitCode {
             cache_capacity: 4096,
             bound_tolerance: tolerance,
             cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
             ..ServeConfig::default()
         },
         8.min(n_requests),
@@ -687,8 +681,6 @@ fn run_sustained(
             cache_capacity: 4096,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
             tracing,
             ..ServeConfig::default()
         },
@@ -984,8 +976,6 @@ fn run_overload_phase(
             cache_capacity: 1024,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
             ..ServeConfig::default()
         },
     );

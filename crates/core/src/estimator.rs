@@ -387,34 +387,6 @@ pub trait CardinalityEstimator: Send + Sync {
             .collect()
     }
 
-    /// [`CardinalityEstimator::estimate_batch`] with a kernel budget: a
-    /// worker-count hint plus an optionally pinned
-    /// [`cardest_nn::KernelBackend`]. Estimators whose batched kernel can
-    /// exploit it (bit-identically) override this; the default ignores the
-    /// hint — correct for every estimator, since threading and backend
-    /// choice are optimizations, never semantics. The serve worker pool
-    /// plumbs `ServeConfig::kernel_parallelism()` through here.
-    fn estimate_batch_par(
-        &self,
-        prepared: &[&PreparedQuery],
-        thetas: &[f64],
-        par: Parallelism,
-    ) -> Vec<Estimate> {
-        let _ = par;
-        self.estimate_batch(prepared, thetas)
-    }
-
-    /// [`CardinalityEstimator::curve_batch`] with a kernel budget
-    /// (see [`CardinalityEstimator::estimate_batch_par`]).
-    fn curve_batch_par(
-        &self,
-        prepared: &[&PreparedQuery],
-        par: Parallelism,
-    ) -> Vec<CardinalityCurve> {
-        let _ = par;
-        self.curve_batch(prepared)
-    }
-
     /// Display name matching the paper's tables (e.g. `CardNet-A`, `DB-US`).
     fn name(&self) -> String;
 
@@ -494,14 +466,8 @@ impl CardNetEstimator {
         }
     }
 
-    /// Sets the kernel worker budget for the encoder/batch paths (builder
-    /// form). Estimates are bit-identical for any setting.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.par = par;
-        self
-    }
-
-    /// Sets the kernel worker budget in place.
+    /// Sets the kernel worker budget for the encoder/batch paths. Estimates
+    /// are bit-identical for any setting.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
     }
@@ -562,70 +528,6 @@ impl CardNetEstimator {
             );
         }
         Matrix::from_vec(prepared.len(), d, data)
-    }
-
-    /// Shared body of `estimate_batch` / `estimate_batch_par`.
-    fn estimate_batch_impl(
-        &self,
-        prepared: &[&PreparedQuery],
-        thetas: &[f64],
-        par: Parallelism,
-    ) -> Vec<Estimate> {
-        assert_eq!(
-            prepared.len(),
-            thetas.len(),
-            "estimate_batch: {} queries vs {} thresholds",
-            prepared.len(),
-            thetas.len()
-        );
-        if prepared.is_empty() {
-            return Vec::new();
-        }
-        let x = self.batch_feature_matrix(prepared);
-        let dist = self.model.infer_dist_batch_with(&self.store, &x, par);
-        let n_out = self.model.config.n_out;
-        let incremental = self.model.config.incremental;
-        let source: Arc<str> = CardinalityEstimator::name(self).into();
-        thetas
-            .iter()
-            .enumerate()
-            .map(|(r, &theta)| {
-                let tau = self.fx.map_threshold(theta).min(n_out - 1);
-                let value = if incremental {
-                    let mut acc = 0.0f64;
-                    for j in 0..=tau {
-                        acc += f64::from(dist.get(r, j));
-                    }
-                    acc
-                } else {
-                    f64::from(dist.get(r, tau))
-                };
-                Estimate::exact(value).with_source(Arc::clone(&source))
-            })
-            .collect()
-    }
-
-    /// Shared body of `curve_batch` / `curve_batch_par`.
-    fn curve_batch_impl(
-        &self,
-        prepared: &[&PreparedQuery],
-        par: Parallelism,
-    ) -> Vec<CardinalityCurve> {
-        if prepared.is_empty() {
-            return Vec::new();
-        }
-        let x = self.batch_feature_matrix(prepared);
-        let dist = self.model.infer_dist_batch_with(&self.store, &x, par);
-        let incremental = self.model.config.incremental;
-        (0..prepared.len())
-            .map(|r| {
-                if incremental {
-                    CardinalityCurve::from_f32_increments(dist.row(r))
-                } else {
-                    CardinalityCurve::from_f32_direct(dist.row(r))
-                }
-            })
-            .collect()
     }
 }
 
@@ -750,23 +652,38 @@ impl CardinalityEstimator for CardNetEstimator {
     /// sum over decoders `0..=τ`), so batched estimates are bit-identical to
     /// the scalar path — the invariant the serving layer's cache relies on.
     fn estimate_batch(&self, prepared: &[&PreparedQuery], thetas: &[f64]) -> Vec<Estimate> {
-        self.estimate_batch_impl(prepared, thetas, self.par)
-    }
-
-    /// The batched kernel with an extra worker/backend budget (still
-    /// bit-identical): the serving worker pool plumbs
-    /// `ServeConfig::kernel_parallelism()` here.
-    fn estimate_batch_par(
-        &self,
-        prepared: &[&PreparedQuery],
-        thetas: &[f64],
-        par: Parallelism,
-    ) -> Vec<Estimate> {
-        // Caller first: `Parallelism::max` keeps the left side's backend
-        // pin, so a per-call override (e.g. `ServeConfig::kernel_backend`)
-        // beats the estimator's own setting; thread counts still merge by
-        // maximum either way.
-        self.estimate_batch_impl(prepared, thetas, par.max(self.par))
+        assert_eq!(
+            prepared.len(),
+            thetas.len(),
+            "estimate_batch: {} queries vs {} thresholds",
+            prepared.len(),
+            thetas.len()
+        );
+        if prepared.is_empty() {
+            return Vec::new();
+        }
+        let x = self.batch_feature_matrix(prepared);
+        let dist = self.model.infer_dist_batch_with(&self.store, &x, self.par);
+        let n_out = self.model.config.n_out;
+        let incremental = self.model.config.incremental;
+        let source: Arc<str> = CardinalityEstimator::name(self).into();
+        thetas
+            .iter()
+            .enumerate()
+            .map(|(r, &theta)| {
+                let tau = self.fx.map_threshold(theta).min(n_out - 1);
+                let value = if incremental {
+                    let mut acc = 0.0f64;
+                    for j in 0..=tau {
+                        acc += f64::from(dist.get(r, j));
+                    }
+                    acc
+                } else {
+                    f64::from(dist.get(r, tau))
+                };
+                Estimate::exact(value).with_source(Arc::clone(&source))
+            })
+            .collect()
     }
 
     /// One batched kernel run for the whole batch of full curves: every
@@ -774,16 +691,21 @@ impl CardinalityEstimator for CardNetEstimator {
     /// curve is just its f64 prefix sums — bit-identical to per-query
     /// `curve` calls.
     fn curve_batch(&self, prepared: &[&PreparedQuery]) -> Vec<CardinalityCurve> {
-        self.curve_batch_impl(prepared, self.par)
-    }
-
-    fn curve_batch_par(
-        &self,
-        prepared: &[&PreparedQuery],
-        par: Parallelism,
-    ) -> Vec<CardinalityCurve> {
-        // Caller first — see `estimate_batch_par`.
-        self.curve_batch_impl(prepared, par.max(self.par))
+        if prepared.is_empty() {
+            return Vec::new();
+        }
+        let x = self.batch_feature_matrix(prepared);
+        let dist = self.model.infer_dist_batch_with(&self.store, &x, self.par);
+        let incremental = self.model.config.incremental;
+        (0..prepared.len())
+            .map(|r| {
+                if incremental {
+                    CardinalityCurve::from_f32_increments(dist.row(r))
+                } else {
+                    CardinalityCurve::from_f32_direct(dist.row(r))
+                }
+            })
+            .collect()
     }
 
     fn name(&self) -> String {
@@ -997,9 +919,10 @@ mod tests {
         for (x, y) in serial_curve.values().iter().zip(curve.values()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        // The trait-level kernel budget is also bit-stable — across worker
-        // hints and pinned backends alike.
-        let hinted = est.estimate_batch_par(&refs, &thetas, Parallelism::threads(4));
+        // The budget is bit-stable across worker hints and pinned backends
+        // alike, for both batch kernels.
+        est.set_parallelism(Parallelism::threads(4));
+        let hinted = est.estimate_batch(&refs, &thetas);
         for (a, b) in serial_batch.iter().zip(&hinted) {
             assert_eq!(a.value.to_bits(), b.value.to_bits());
         }
@@ -1008,13 +931,15 @@ mod tests {
             cardest_nn::KernelBackend::Blocked,
             cardest_nn::KernelBackend::Simd,
         ] {
-            let pinned = est.estimate_batch_par(
-                &refs,
-                &thetas,
-                Parallelism::threads(2).with_backend(backend),
-            );
+            est.set_parallelism(Parallelism::threads(2).with_backend(backend));
+            let pinned = est.estimate_batch(&refs, &thetas);
             for (a, b) in serial_batch.iter().zip(&pinned) {
                 assert_eq!(a.value.to_bits(), b.value.to_bits(), "{}", backend.label());
+            }
+            for (a, b) in serial_curves.iter().zip(&est.curve_batch(&refs)) {
+                for (x, y) in a.values().iter().zip(b.values()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{}", backend.label());
+                }
             }
         }
     }

@@ -42,11 +42,6 @@ pub struct TrainerOptions {
     /// serial). Threaded kernels are bit-identical to the scalar path, so
     /// this changes training wall clock, never the trained parameters.
     pub threads: usize,
-    /// Pinned compute-kernel backend for the forward/backward products;
-    /// `None` resolves [`cardest_nn::KernelBackend::default_backend`]
-    /// (env override, else best the CPU supports). Every backend is
-    /// bit-identical, so this too can never change the trained parameters.
-    pub kernel_backend: Option<cardest_nn::KernelBackend>,
 }
 
 impl Default for TrainerOptions {
@@ -63,7 +58,6 @@ impl Default for TrainerOptions {
             seed: 0xC0DE,
             dynamic: true,
             threads: 1,
-            kernel_backend: None,
         }
     }
 }
@@ -135,17 +129,16 @@ impl Trainer {
         }
     }
 
-    /// The kernel budget derived from [`TrainerOptions::threads`] and
-    /// [`TrainerOptions::kernel_backend`].
-    pub fn kernel_parallelism(&self) -> Parallelism {
-        Parallelism::threads(self.options.threads).with_backend_opt(self.options.kernel_backend)
+    /// The kernel budget derived from [`TrainerOptions::threads`].
+    fn par(&self) -> Parallelism {
+        Parallelism::threads(self.options.threads)
     }
 
     /// Pre-trains the VAE unsupervised on the binary representations
     /// (§9.1.3 trains it before the estimator).
     pub fn pretrain_vae(&mut self, x: &Matrix) {
         let Some(_) = self.model.vae() else { return };
-        let par = self.kernel_parallelism();
+        let par = self.par();
         let mut opt = Adam::new(self.options.learning_rate);
         let n = x.rows();
         let bs = self.options.batch_size.min(n).max(1);
@@ -154,7 +147,7 @@ impl Trainer {
             order.shuffle(&mut self.rng);
             for chunk in order.chunks(bs) {
                 let xb = x.gather_rows(chunk);
-                let mut tape = Tape::with_parallelism(par);
+                let mut tape = Tape::with_budget(par);
                 let xv = tape.input(xb);
                 let vae = self.model.vae().expect("vae enabled");
                 let fwd = vae.forward_train(&mut tape, &self.store, xv, &mut self.rng, 0.1);
@@ -167,7 +160,7 @@ impl Trainer {
 
     /// One optimization step over a batch; returns the scalar loss.
     fn step(&mut self, batch: &TrainTensors, opt: &mut Adam) -> f32 {
-        let mut tape = Tape::with_parallelism(self.kernel_parallelism());
+        let mut tape = Tape::with_budget(self.par());
         let fwd =
             self.model
                 .forward_train(&mut tape, &self.store, batch.x.clone(), &mut self.rng, 0.1);
@@ -211,9 +204,9 @@ impl Trainer {
     /// Validation MSLE of the cumulative predictions, weighted by `P(τ)`,
     /// plus the per-distance losses `ℓ_i` used by the ω update.
     fn validate(&self, valid: &TrainTensors) -> (f64, Vec<f32>) {
-        let pred =
-            self.model
-                .infer_dist_batch_with(&self.store, &valid.x, self.kernel_parallelism());
+        let pred = self
+            .model
+            .infer_dist_batch_with(&self.store, &valid.x, self.par());
         // Incremental models accumulate per-distance outputs into cumulative
         // predictions; the −incremental ablation already predicts cumulative.
         let mut cum = pred.clone();

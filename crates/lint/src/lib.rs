@@ -113,7 +113,7 @@ impl Config {
             kernel_entry_calls: vec![
                 "infer_dist_batch".to_string(),
                 "estimate_batch".to_string(),
-                "estimate_batch_par".to_string(),
+                "curve_batch".to_string(),
             ],
         }
     }

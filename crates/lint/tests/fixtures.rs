@@ -259,14 +259,15 @@ fn clamped_wire_lengths_pass_and_flows_are_still_recorded() {
 fn guard_held_across_recv_is_flagged() {
     let report = lint_fixture("guardblock_bad");
     let rules = rules_of(&report);
-    assert_eq!(rules.len(), 1, "{:?}", report.findings);
-    assert_eq!(rules.first().copied().unwrap(), Rule::GuardBlocking);
-    assert!(report
-        .findings
-        .first()
-        .unwrap()
-        .message
-        .contains("channel recv"));
+    assert_eq!(rules.len(), 2, "{:?}", report.findings);
+    assert!(rules.iter().all(|r| *r == Rule::GuardBlocking));
+    let flagged = |what: &str| report.findings.iter().any(|f| f.message.contains(what));
+    assert!(flagged("channel recv"), "{:?}", report.findings);
+    assert!(
+        flagged("kernel entry `curve_batch`"),
+        "{:?}",
+        report.findings
+    );
 }
 
 #[test]

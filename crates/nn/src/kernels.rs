@@ -36,15 +36,16 @@
 //! across backends × thread counts (including non-finite inputs);
 //! `exp_kernel_bench` gates it again at benchmark scale.
 //!
-//! [`Parallelism`] is the knob the rest of the system plumbs through
-//! (trainer minibatches, CardNet batch estimation, the serve worker pool,
-//! `report::evaluate`): a worker-count hint that the kernels clamp by the
-//! number of output rows and by a minimum useful work size, so callers can
-//! pass one config everywhere without tiny products paying thread-spawn
-//! overhead — plus an optional pinned [`KernelBackend`]. Unpinned configs
-//! resolve the backend once per process: the `CARDEST_KERNEL_BACKEND` env
-//! var (`scalar` | `blocked` | `simd` | `auto`) if set, else the best the
-//! CPU supports.
+//! [`Parallelism`] is the worker budget the rest of the system plumbs
+//! through (trainer minibatches, a CardNet estimator's encoder and batch
+//! paths, `report::evaluate`): a worker-count hint that the kernels clamp by
+//! the number of output rows and by a minimum useful work size, so callers
+//! can pass one config everywhere without tiny products paying thread-spawn
+//! overhead. The backend is resolved once per process: the
+//! `CARDEST_KERNEL_BACKEND` env var (`scalar` | `blocked` | `simd` | `auto`)
+//! if set, else the best the CPU supports. [`Parallelism::with_backend`]
+//! pins a tier only so tests and `exp_kernel_bench` can compare each one
+//! against the scalar reference.
 
 use crate::matrix::Matrix;
 use std::sync::OnceLock;
@@ -221,8 +222,8 @@ const MIN_WORK_PER_THREAD: usize = 4_000_000;
 /// result bit-identical) and, unless constructed with
 /// [`Parallelism::exact_threads`], by a minimum-work-per-thread threshold so
 /// small products stay serial. The backend is `None` by default, meaning
-/// "resolve [`KernelBackend::default_backend`] at dispatch" — pin one with
-/// [`Parallelism::with_backend`].
+/// "resolve [`KernelBackend::default_backend`] at dispatch"; tests and
+/// benchmarks pin one with [`Parallelism::with_backend`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     threads: usize,
@@ -278,19 +279,11 @@ impl Parallelism {
         }
     }
 
-    /// Pins the kernel backend (builder form). Every backend is
-    /// bit-identical, so this is a throughput knob like the thread count.
+    /// Pins the kernel backend (builder form), so a test or benchmark can
+    /// run one tier against the scalar reference. Every backend is
+    /// bit-identical; production code leaves the process default in place.
     pub const fn with_backend(mut self, backend: KernelBackend) -> Parallelism {
         self.backend = Some(backend);
-        self
-    }
-
-    /// [`Parallelism::with_backend`] over an optional pin — the shape every
-    /// config struct stores (`None` = resolve the process default).
-    pub const fn with_backend_opt(mut self, backend: Option<KernelBackend>) -> Parallelism {
-        if backend.is_some() {
-            self.backend = backend;
-        }
         self
     }
 
@@ -301,11 +294,6 @@ impl Parallelism {
             Some(b) => b,
             None => KernelBackend::default_backend(),
         }
-    }
-
-    /// The explicitly pinned backend, if any (config merging / display).
-    pub fn pinned_backend(&self) -> Option<KernelBackend> {
-        self.backend
     }
 
     /// A one-thread copy that keeps the pinned backend — what coarse row
@@ -325,17 +313,6 @@ impl Parallelism {
 
     pub fn is_serial(&self) -> bool {
         self.threads == 1
-    }
-
-    /// The larger of two hints (config merging: an estimator's own setting
-    /// vs. a per-call override). A backend pinned on `self` wins over one
-    /// pinned on `other`; either wins over "resolve the default".
-    pub fn max(self, other: Parallelism) -> Parallelism {
-        Parallelism {
-            threads: self.threads.max(other.threads),
-            force: self.force || other.force,
-            backend: self.backend.or(other.backend),
-        }
     }
 
     /// Effective worker count for `tasks` independent tasks totalling `work`
@@ -1182,12 +1159,10 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_clamps_and_merges() {
+    fn parallelism_clamps_worker_counts() {
         assert_eq!(Parallelism::threads(0).thread_count(), 1);
         assert!(Parallelism::serial().is_serial());
         assert!(Parallelism::auto().thread_count() >= 1);
-        let merged = Parallelism::threads(2).max(Parallelism::threads(5));
-        assert_eq!(merged.thread_count(), 5);
         // Small work stays serial under a plain hint, threads under exact.
         assert_eq!(Parallelism::threads(8).workers(100, 1000), 1);
         assert_eq!(Parallelism::exact_threads(8).workers(100, 1000), 8);
@@ -1217,32 +1192,17 @@ mod tests {
     }
 
     #[test]
-    fn backend_pinning_merges_and_survives_serial_worker() {
+    fn backend_pin_survives_serial_worker() {
         let pinned = Parallelism::threads(2).with_backend(KernelBackend::Scalar);
         assert_eq!(pinned.backend(), KernelBackend::Scalar);
-        assert_eq!(pinned.pinned_backend(), Some(KernelBackend::Scalar));
-        assert_eq!(Parallelism::serial().pinned_backend(), None);
         // Unpinned resolves the process default.
         assert_eq!(
             Parallelism::serial().backend(),
             KernelBackend::default_backend()
         );
-        // max(): self's pin wins, any pin beats none; serial_worker keeps it.
-        let merged = pinned.max(Parallelism::threads(8));
-        assert_eq!(merged.thread_count(), 8);
-        assert_eq!(merged.pinned_backend(), Some(KernelBackend::Scalar));
-        let other = Parallelism::threads(8).with_backend(KernelBackend::Blocked);
-        assert_eq!(
-            pinned.max(other).pinned_backend(),
-            Some(KernelBackend::Scalar)
-        );
-        assert_eq!(
-            Parallelism::threads(8).max(other).pinned_backend(),
-            Some(KernelBackend::Blocked)
-        );
-        let worker = merged.serial_worker();
+        let worker = pinned.serial_worker();
         assert!(worker.is_serial());
-        assert_eq!(worker.pinned_backend(), Some(KernelBackend::Scalar));
+        assert_eq!(worker.backend(), KernelBackend::Scalar);
     }
 
     #[test]

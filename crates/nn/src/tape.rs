@@ -85,7 +85,7 @@ impl Tape {
     }
 
     /// A tape whose matmul forward/backward kernels may use `par` workers.
-    pub fn with_parallelism(par: Parallelism) -> Self {
+    pub fn with_budget(par: Parallelism) -> Self {
         Tape {
             nodes: Vec::new(),
             par,

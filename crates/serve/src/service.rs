@@ -59,20 +59,6 @@ pub struct ServeConfig {
     /// θ-sweep over a repeated query turns into exact hits. `0` (default)
     /// keeps the plain batched-kernel path.
     pub cache_curve_points: usize,
-    /// Worker threads the batched compute kernel may use *per micro-batch*
-    /// (plumbed into [`cardest_core::CardinalityEstimator::estimate_batch_par`]).
-    /// Threaded kernels are bit-identical to the scalar path, so this is a
-    /// latency knob with no effect on served estimates. Default 1: the pool
-    /// already runs `workers` batches concurrently, so intra-batch threading
-    /// pays off mainly for large batches on big machines.
-    pub kernel_threads: usize,
-    /// Pinned compute-kernel backend for the micro-batch kernels; `None`
-    /// (default) resolves [`cardest_core::KernelBackend::default_backend`]
-    /// — the `CARDEST_KERNEL_BACKEND` env override, else the best tier the
-    /// CPU supports (explicit AVX2/AVX-512 SIMD where available). Every
-    /// backend is bit-identical, so this too can never change a served
-    /// estimate or a cache entry.
-    pub kernel_backend: Option<cardest_core::KernelBackend>,
     /// Per-stage tracing master switch. When off, workers skip every span
     /// clock read; the [`Observer`] still exists (so it can be re-enabled at
     /// runtime via [`cardest_obs::Observer::set_enabled`]) but records
@@ -97,8 +83,6 @@ impl Default for ServeConfig {
             cache_capacity: 4096,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
             tracing: true,
             trace_sample: 16,
             slow_threshold: Duration::from_millis(100),
@@ -115,14 +99,6 @@ impl ServeConfig {
             slow_threshold: self.slow_threshold,
             ..ObsConfig::default()
         }
-    }
-
-    /// The per-micro-batch kernel budget handed to the estimator's batched
-    /// paths: [`ServeConfig::kernel_threads`] workers, with
-    /// [`ServeConfig::kernel_backend`] pinned when set.
-    pub fn kernel_parallelism(&self) -> cardest_core::Parallelism {
-        cardest_core::Parallelism::threads(self.kernel_threads)
-            .with_backend_opt(self.kernel_backend)
     }
 }
 
@@ -793,9 +769,9 @@ fn serve_group(
     // every job it answered (the batch is the unit of compute — each job's
     // latency really did include the full call). The encoder/decoder
     // sub-spans come from this thread's `ApiCounters` timing delta, which
-    // captures the kernel work exactly at `kernel_threads: 1` (the default;
-    // threaded kernels run part of the work on scoped threads this
-    // thread-local meter cannot see).
+    // captures the kernel work exactly when the estimator's parallelism is
+    // serial (the default; threaded kernels run part of the work on scoped
+    // threads this thread-local meter cannot see).
     let meter_before = traced.then(cardest_core::metrics::ApiCounters::snapshot);
     let t_model = traced.then(Instant::now);
     if let Some(tm) = t_model {
@@ -817,7 +793,7 @@ fn serve_group(
         // from curve-derived brackets or exact hits.
         let refs: Vec<&PreparedQuery> = unique.iter().map(|&i| &pending[i].prepared).collect();
         estimator
-            .curve_batch_par(&refs, cfg.kernel_parallelism())
+            .curve_batch(&refs)
             .into_iter()
             .zip(&unique)
             .map(|(curve, &i)| {
@@ -833,7 +809,7 @@ fn serve_group(
         let refs: Vec<&PreparedQuery> = unique.iter().map(|&i| &pending[i].prepared).collect();
         let thetas: Vec<f64> = unique.iter().map(|&i| pending[i].job.req.theta).collect();
         estimator
-            .estimate_batch_par(&refs, &thetas, cfg.kernel_parallelism())
+            .estimate_batch(&refs, &thetas)
             .into_iter()
             .map(|e| RowResult::Scalar(e.value))
             .collect()
@@ -962,8 +938,6 @@ mod tests {
             cache_capacity: 0,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
             ..ServeConfig::default()
         }
     }
@@ -1074,8 +1048,6 @@ mod tests {
                 // Seed every curve point: the first request computes once,
                 // the rest of the sweep is exact hits.
                 cache_curve_points: tau_max + 1,
-                kernel_threads: 1,
-                kernel_backend: None,
                 ..ServeConfig::default()
             },
         );
@@ -1122,8 +1094,6 @@ mod tests {
                 cache_capacity: 4096,
                 bound_tolerance: 0.0,
                 cache_curve_points: 2,
-                kernel_threads: 1,
-                kernel_backend: None,
                 ..ServeConfig::default()
             },
         );
@@ -1326,8 +1296,6 @@ mod tests {
                 cache_capacity: 0,
                 bound_tolerance: 0.0,
                 cache_curve_points: 0,
-                kernel_threads: 1,
-                kernel_backend: None,
                 ..ServeConfig::default()
             },
         );
@@ -1370,8 +1338,6 @@ mod tests {
                 cache_capacity: 0, // coalescing is intra-batch, not the cache
                 bound_tolerance: 0.0,
                 cache_curve_points: 0,
-                kernel_threads: 1,
-                kernel_backend: None,
                 ..ServeConfig::default()
             },
         );

@@ -6,6 +6,7 @@
 use cardest_core::estimator::{CardNetEstimator, CardinalityEstimator};
 use cardest_core::model::CardNetConfig;
 use cardest_core::train::{train_cardnet, TrainerOptions};
+use cardest_core::Parallelism;
 use cardest_data::synth::{hm_imagenet, SynthConfig};
 use cardest_data::zipf::Zipf;
 use cardest_data::{Dataset, Record, Workload};
@@ -48,10 +49,12 @@ fn request_stream(ds: &Dataset, n: usize, seed: u64) -> Vec<(usize, Arc<Record>,
 
 /// Plays the stream fully pipelined through a fresh service and returns the
 /// served estimates (stream order) with their model-epoch tags.
+/// `cache_curve_points > 0` selects the curve-seeding mode.
 fn play(
     registry: &Arc<ModelRegistry>,
     stream: &[(usize, Arc<Record>, f64)],
     workers: usize,
+    cache_curve_points: usize,
 ) -> Vec<(f64, u64)> {
     let service = Service::start(
         Arc::clone(registry),
@@ -61,9 +64,7 @@ fn play(
             batch_window: Duration::from_micros(300),
             cache_capacity: 1024,
             bound_tolerance: 0.0,
-            cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
+            cache_curve_points,
             ..ServeConfig::default()
         },
     );
@@ -91,30 +92,38 @@ fn play(
 #[test]
 fn one_worker_and_many_workers_serve_identical_estimates() {
     let ds = hm_imagenet(SynthConfig::new(300, 91));
-    let est = small_model(&ds, 3);
     let stream = request_stream(&ds, 400, 17);
     // Ground truth from the single-thread, unbatched estimator call.
-    let reference: Vec<f64> = stream
-        .iter()
-        .map(|(_, rec, theta)| est.estimate(rec, *theta))
-        .collect();
+    let reference: Vec<f64> = {
+        let est = small_model(&ds, 3);
+        stream
+            .iter()
+            .map(|(_, rec, theta)| est.estimate(rec, *theta))
+            .collect()
+    };
 
+    // Threaded kernels are bit-identical to serial ones, so an estimator
+    // published with a threaded budget must serve the same bits. Training is
+    // seeded: each `small_model` call rebuilds the same weights.
     let registry = Arc::new(ModelRegistry::new());
-    registry.publish("m", est);
-    let solo = play(&registry, &stream, 1);
-    let pooled = play(&registry, &stream, 4);
-
-    for (i, ((s, p), want)) in solo.iter().zip(&pooled).zip(&reference).enumerate() {
-        assert_eq!(
-            s.0.to_bits(),
-            want.to_bits(),
-            "1-worker diverged from the direct path at request {i}"
-        );
-        assert_eq!(
-            p.0.to_bits(),
-            want.to_bits(),
-            "4-worker diverged from the direct path at request {i}"
-        );
+    for par in [Parallelism::serial(), Parallelism::exact_threads(2)] {
+        let mut est = small_model(&ds, 3);
+        est.set_parallelism(par);
+        registry.publish("m", est);
+        for (what, workers, curve_points) in [
+            ("1-worker", 1, 0),
+            ("4-worker", 4, 0),
+            ("curve-seeding 4-worker", 4, 6),
+        ] {
+            let served = play(&registry, &stream, workers, curve_points);
+            for (i, (got, want)) in served.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    got.0.to_bits(),
+                    want.to_bits(),
+                    "{what} at {par:?} diverged from the direct path at request {i}"
+                );
+            }
+        }
     }
 }
 
@@ -151,8 +160,6 @@ fn hot_swap_mid_stream_is_atomic_and_epoch_tagged() {
             cache_capacity: 512,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
-            kernel_backend: None,
             ..ServeConfig::default()
         },
     );
