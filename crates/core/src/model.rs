@@ -17,8 +17,10 @@
 use std::time::Instant;
 
 use cardest_nn::kernels::partition_rows;
-use cardest_nn::layers::{Activation, Dense, Mlp};
-use cardest_nn::{init, Matrix, Parallelism, ParamId, ParamStore, Tape, Vae, VaeConfig, Var};
+use cardest_nn::layers::{chain_shapes, Activation, Dense, Mlp};
+use cardest_nn::{
+    init, Matrix, Parallelism, ParamId, ParamShape, ParamStore, Tape, Vae, VaeConfig, Var,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -87,13 +89,31 @@ impl CardNetConfig {
         self
     }
 
+    fn vae_config(&self) -> VaeConfig {
+        VaeConfig::new(self.input_dim, self.vae_hidden.clone(), self.vae_latent)
+    }
+
     fn uses_vae(&self) -> bool {
         !self.vae_hidden.is_empty() && self.vae_latent > 0
     }
 
     /// Width of `x' = [x ; VAE latent]`.
     fn xprime_dim(&self) -> usize {
-        self.input_dim + if self.uses_vae() { self.vae_latent } else { 0 }
+        let latent = if self.uses_vae() { self.vae_latent } else { 0 };
+        // Saturating: a snapshot's config is untrusted until validated.
+        self.input_dim.saturating_add(latent)
+    }
+
+    /// CardNet-A's split of `z_dim` into one region per Φ′ layer; earlier
+    /// layers get the remainder so Σ regions = z_dim.
+    fn phi_a_regions(&self) -> Vec<usize> {
+        let n_layers = self.phi_hidden.len().max(1);
+        let base = self.z_dim / n_layers;
+        let mut regions = vec![base; n_layers];
+        for region in regions.iter_mut().take(self.z_dim % n_layers) {
+            *region += 1;
+        }
+        regions
     }
 }
 
@@ -137,17 +157,9 @@ pub struct ModelForward {
 
 impl CardNetModel {
     pub fn new(store: &mut ParamStore, rng: &mut impl Rng, config: CardNetConfig) -> Self {
-        let vae = config.uses_vae().then(|| {
-            Vae::new(
-                store,
-                rng,
-                VaeConfig::new(
-                    config.input_dim,
-                    config.vae_hidden.clone(),
-                    config.vae_latent,
-                ),
-            )
-        });
+        let vae = config
+            .uses_vae()
+            .then(|| Vae::new(store, rng, config.vae_config()));
         // §5.2.2: E initialized from the standard normal distribution.
         let e = store.register(
             "cardnet.E",
@@ -168,16 +180,9 @@ impl CardNetModel {
                 (Some(phi), None)
             }
             EncoderKind::Accelerated => {
-                let n_layers = config.phi_hidden.len().max(1);
-                // Split z_dim into per-layer regions, earlier layers get the
-                // remainder so Σ regions = z_dim.
-                let base = config.z_dim / n_layers;
-                let mut regions = vec![base; n_layers];
-                for region in regions.iter_mut().take(config.z_dim % n_layers) {
-                    *region += 1;
-                }
-                let mut hidden = Vec::with_capacity(n_layers);
-                let mut heads = Vec::with_capacity(n_layers);
+                let regions = config.phi_a_regions();
+                let mut hidden = Vec::with_capacity(regions.len());
+                let mut heads = Vec::with_capacity(regions.len());
                 let mut prev = config.xprime_dim();
                 for (j, &h) in config.phi_hidden.iter().enumerate() {
                     hidden.push(Dense::new(
@@ -225,6 +230,45 @@ impl CardNetModel {
 
     pub fn vae(&self) -> Option<&Vae> {
         self.vae.as_ref()
+    }
+
+    /// The shape of every parameter this model reads, as implied by its
+    /// config, or an error naming the first layer that disagrees with the
+    /// config. [`ParamStore::check_shapes`] holds a store to this list.
+    pub fn param_shapes(&self) -> Result<Vec<ParamShape>, String> {
+        let c = &self.config;
+        let mut shapes = Vec::new();
+        match (&self.vae, c.uses_vae()) {
+            (Some(vae), true) if vae.config == c.vae_config() => shapes.extend(vae.param_shapes()?),
+            (None, false) => {}
+            _ => return Err("the VAE disagrees with the model config".to_string()),
+        }
+        shapes.push((self.e, (c.n_out, c.e_dim)));
+        let xprime = c.xprime_dim();
+        match (&self.phi, &self.phi_a, c.encoder) {
+            (Some(phi), None, EncoderKind::Shared) => {
+                let widths = [
+                    &[xprime.saturating_add(c.e_dim)],
+                    &c.phi_hidden[..],
+                    &[c.z_dim],
+                ];
+                shapes.extend(chain_shapes(&phi.layers, &widths.concat())?);
+            }
+            (None, Some(pa), EncoderKind::Accelerated) => {
+                let widths = [&[xprime], &c.phi_hidden[..]].concat();
+                shapes.extend(chain_shapes(&pa.hidden, &widths)?);
+                if pa.heads.len() != c.phi_hidden.len() || pa.regions != c.phi_a_regions() {
+                    return Err("CardNet-A heads disagree with the model config".to_string());
+                }
+                for ((&head, &h), &r) in pa.heads.iter().zip(&c.phi_hidden).zip(&pa.regions) {
+                    shapes.push((head, (h, c.n_out.saturating_mul(r))));
+                }
+            }
+            _ => return Err("encoder layers disagree with the model config".to_string()),
+        }
+        shapes.push((self.dec_w, (c.n_out, c.z_dim)));
+        shapes.push((self.dec_b, (1, c.n_out)));
+        Ok(shapes)
     }
 
     /// Training forward pass over a batch `x` (`n × d` binary as f32).

@@ -102,16 +102,21 @@ impl Snapshot {
                 "model has zero decoders (n_out = 0)".to_string(),
             ));
         }
-        if n_out != self.tau_max + 1 {
+        if n_out != self.tau_max.saturating_add(1) {
             return Err(SnapshotError::Invalid(format!(
                 "decoder count {} disagrees with recorded tau_max {} \
                  (expected {} decoders); refusing to mis-decode",
                 n_out,
                 self.tau_max,
-                self.tau_max + 1
+                self.tau_max.saturating_add(1)
             )));
         }
-        Ok(())
+        // Every weight must have the shape the config implies and a buffer
+        // that fills it, or inference would index out of range.
+        let shapes = self.model.param_shapes().map_err(SnapshotError::Invalid)?;
+        self.params
+            .check_shapes(&shapes)
+            .map_err(SnapshotError::Invalid)
     }
 
     /// Checks this snapshot against the *requesting* configuration — the
@@ -276,6 +281,32 @@ mod tests {
             msg.contains("decoder count") && msg.contains("tau_max 5"),
             "error not descriptive: {msg}"
         );
+    }
+
+    #[test]
+    fn malformed_weights_are_rejected_as_invalid() {
+        let (snap, _, _) = tiny_snapshot(66);
+        let json = snap.to_json().expect("serialize");
+        // A weight buffer one value short, `cardnet.E` (9 decoders x 5 dims)
+        // transposed, and the last parameter dropped: each used to panic in
+        // a kernel instead of failing validation.
+        let mut truncated = json.clone();
+        let at = truncated.find("\"data\":[").expect("a buffer") + "\"data\":[".len();
+        truncated.replace_range(at..=at + truncated[at..].find(',').expect(","), "");
+        let swapped = json.replacen("\"rows\":9,\"cols\":5", "\"rows\":5,\"cols\":9", 1);
+        let mut dropped = json.clone();
+        let start = dropped.rfind(",{\"name\":").expect("several params");
+        dropped.replace_range(
+            start..start + dropped[start..].find("}}]").expect("end") + 2,
+            "",
+        );
+        for bad in [truncated, swapped, dropped] {
+            assert_ne!(bad, json, "corruption target not found");
+            match Snapshot::from_json(&bad) {
+                Err(SnapshotError::Invalid(msg)) => assert!(msg.contains("parameter"), "{msg}"),
+                other => panic!("expected Invalid, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Two-lock cycle: `fwd` nests `a` then `b`, `rev` nests `b` then `a`.
-//! The lock-order pass must report exactly one cycle, citing both
-//! witness sites.
+//! Three nestings, each a finding at its own site: `fwd` nests `a` then
+//! `b`, `rev` nests `b` then `a` (together a two-lock cycle), and `outer`
+//! holds `a` across a call to `inner`, which takes `c` — a nesting only
+//! visible through one level of call expansion.
 
 use std::sync::Mutex;
 
 pub struct Pair {
     pub a: Mutex<u64>,
     pub b: Mutex<u64>,
+    pub c: Mutex<u64>,
 }
 
 impl Pair {
@@ -20,5 +22,14 @@ impl Pair {
         let y = self.b.lock().unwrap();
         let x = self.a.lock().unwrap();
         *x + *y
+    }
+
+    pub fn outer(&self) -> u64 {
+        let x = self.a.lock().unwrap();
+        *x + self.inner()
+    }
+
+    fn inner(&self) -> u64 {
+        *self.c.lock().unwrap()
     }
 }

@@ -1,7 +1,7 @@
-//! A consistent lock order, including a nesting only visible through
-//! one level of call expansion: `outer` holds `conns` across a call to
-//! `inner`, which takes `stats` — the graph must contain the
-//! `conns -> stats` edge and still be clean (no cycle).
+//! The shapes the no-nesting rule accepts: sequential acquisitions whose
+//! guards never overlap, an explicit `drop(guard)` hand-off, and one
+//! nesting waived by a reasoned suppression. The graph records the waived
+//! edge; the tree still lints clean.
 
 use std::sync::Mutex;
 
@@ -11,18 +11,24 @@ pub struct State {
 }
 
 impl State {
-    pub fn outer(&self) -> u64 {
+    /// Temporaries: each guard drops at the end of its statement.
+    pub fn sequential(&self) -> u64 {
+        let c = *self.conns.lock().unwrap();
+        c + *self.stats.lock().unwrap()
+    }
+
+    /// A bound guard released before the next acquisition.
+    pub fn handoff(&self) -> u64 {
         let c = self.conns.lock().unwrap();
-        *c + self.inner()
+        let n = *c;
+        drop(c);
+        let s = self.stats.lock().unwrap();
+        n + *s
     }
 
-    fn inner(&self) -> u64 {
-        *self.stats.lock().unwrap()
-    }
-
-    /// Same direct order as the expanded one: never a conflict.
     pub fn both(&self) -> u64 {
         let c = self.conns.lock().unwrap();
+        // lint: allow(lock-order) fixture: a waived nesting stays in the graph but is not reported.
         let s = self.stats.lock().unwrap();
         *c + *s
     }

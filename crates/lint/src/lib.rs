@@ -12,7 +12,7 @@
 //! | `atomics-ordering-audit` | `SeqCst` always, and `Relaxed` in read-modify-write or flag-publish position, must carry an `// ordering:` justification |
 //! | `no-alloc-in-hot-path` | functions marked `// lint: hot-path` call no allocating constructors |
 //! | `wire-kind-coverage` | every variant of a `enum Frame` wire enum appears in the crate's test suites |
-//! | `lock-order` | the cross-file lock-acquisition graph ([`lockgraph`]) has no cycles |
+//! | `lock-order` | no thread holds two workspace locks at once: every edge of the cross-file lock-acquisition graph ([`lockgraph`]) is a finding |
 //! | `relaxed-counter-drift` | counters surfaced via `push_counter` are read only through sanctioned registry readers |
 //! | `instant-outside-span` | `Instant::now()` in serve/obs production code starts an observed span or carries `// timing:` |
 //! | `wire-error-exhaustiveness` | every `WireError` variant is mapped in the error path and constructed in tests |
@@ -203,8 +203,9 @@ pub struct Inventory {
 
 /// Version of the `--json` report shape. Bumped to 2 when the inventory
 /// gained the `lock_graph` section (and the report this `schema` field);
-/// to 3 when it gained the `channels` and `taint_flows` inventories.
-pub const JSON_SCHEMA: u32 = 3;
+/// to 3 when it gained the `channels` and `taint_flows` inventories; to 4
+/// when `lock_graph` dropped its `order` and `cycles` fields.
+pub const JSON_SCHEMA: u32 = 4;
 
 /// Result of a full lint run.
 #[derive(Debug, Clone)]
@@ -292,13 +293,6 @@ fn push_lock_graph(out: &mut String, g: &LockGraph) {
             l.line,
         ));
     }
-    out.push_str("],\"order\":[");
-    for (i, id) in g.order.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_str(id));
-    }
     out.push_str("],\"edges\":[");
     for (i, e) in g.edges.iter().enumerate() {
         if i > 0 {
@@ -312,20 +306,6 @@ fn push_lock_graph(out: &mut String, g: &LockGraph) {
             e.line,
             json_str(&e.func),
         ));
-    }
-    out.push_str("],\"cycles\":[");
-    for (i, c) in g.cycles.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, id) in c.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(id));
-        }
-        out.push(']');
     }
     out.push_str("]}");
 }

@@ -1,6 +1,8 @@
-//! Cross-file lock-order analysis.
+//! Cross-file lock-nesting analysis.
 //!
-//! Using the per-crate symbol tables from [`crate::symbols`], this pass:
+//! The workspace has one lock rule: a thread never holds two workspace
+//! locks at once. Using the per-crate symbol tables from [`crate::symbols`],
+//! this pass:
 //!
 //! 1. finds every acquisition of a *declared* lock (`expr.lock()` on a
 //!    `Mutex` symbol, `.read()`/`.write()` on an `RwLock` symbol) in
@@ -12,22 +14,25 @@
 //! 3. records an edge `A -> B` whenever lock `B` is acquired — directly, or
 //!    via a one-level-expanded intra-crate call (`self.f(…)`, `f(…)`,
 //!    `Type::f(…)`) — while a guard for `A` is still held;
-//! 4. reports every cycle in the resulting global acquisition graph as a
-//!    potential deadlock, with one witness site per edge of the cycle.
+//! 4. reports every edge as a `lock-order` finding at its witness site,
+//!    unless a reasoned `// lint: allow(lock-order)` waives that site.
 //!
 //! The held-interval inference is deliberately an *over*-approximation
-//! (e.g. `let n = m.lock().unwrap().len();` binds a `usize`, not a guard,
-//! but is treated as held to end of block): a superset of held intervals
-//! can only add edges, never hide a real cycle. Receivers that do not
+//! (e.g. `let n = match m.lock() { … };` may bind a plain value, but is
+//! treated as a guard held to end of block): a superset of held intervals
+//! can only add edges, never hide a nesting. The one refinement is a `let`
+//! whose initializer derefs the guard (`*m.lock()…`) or projects through
+//! it (`m.lock().unwrap().len()`): Rust drops that temporary guard at the
+//! end of the statement, so the pass does too. Receivers that do not
 //! resolve through the symbol table (`stdout().lock()`, `TcpStream::read`)
 //! are ignored — only workspace-declared locks participate.
 //!
-//! Besides findings, the pass emits the graph itself ([`LockGraph`]): the
-//! `--json` inventory serializes it, and `cardest-serve`'s runtime lock
-//! witness asserts its static rank table agrees with these edges, so the
-//! static and runtime views cannot drift apart.
+//! Besides findings, the pass emits the graph itself ([`LockGraph`]) for
+//! the `--json` inventory; on the real tree it has no edges. The runtime
+//! half of the rule is `cardest_obs::sole_lock`, which panics in debug
+//! builds when a thread takes a tracked lock while holding another.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::lex::is_ident_byte;
 use crate::rules::{suppressed, Rule};
@@ -58,18 +63,14 @@ pub struct LockEdge {
     pub func: String,
 }
 
-/// The global lock-acquisition graph.
+/// The global lock-acquisition graph. Every edge is a nesting, so a tree
+/// that lints clean has none that are not waived.
 #[derive(Debug, Clone, Default)]
 pub struct LockGraph {
     /// All declared locks, sorted by id.
     pub locks: Vec<LockNode>,
     /// Deduplicated `(from, to)` edges with one witness site each.
     pub edges: Vec<LockEdge>,
-    /// Cycles (each a list of lock ids; the first id repeats implicitly).
-    pub cycles: Vec<Vec<String>>,
-    /// Topological order of the acyclic part, lexicographic tie-break —
-    /// the canonical rank order the runtime lock witness mirrors.
-    pub order: Vec<String>,
 }
 
 /// One resolved acquisition inside a function body.
@@ -133,6 +134,40 @@ fn let_binding(stmt: &str) -> Option<&str> {
     let t = t.strip_prefix("mut ").unwrap_or(t).trim_start();
     let end = t.bytes().take_while(|&c| is_ident_byte(c)).count();
     (end > 0).then(|| &t[..end])
+}
+
+/// Calls that still yield the guard: the acquisitions and the adapters
+/// that unwrap their result.
+const GUARD_CALLS: &str = "lock read write unwrap expect unwrap_or_else map_err ok";
+
+/// Whether the `let` statement `text[ss..end]` keeps the guard acquired at
+/// `p` alive. It does not when the initializer derefs the guard
+/// (`let x = *m.lock()…;`) or projects through it
+/// (`let n = m.lock().unwrap().len();`): the guard is then a temporary
+/// dropped at the end of the statement.
+fn binds_guard(text: &[u8], ss: usize, p: usize, end: usize) -> bool {
+    let init = &text[ss..p];
+    if let Some(eq) = init.iter().position(|&c| c == b'=') {
+        if init[eq + 1..].trim_ascii_start().starts_with(b"*") {
+            return false;
+        }
+    }
+    let mut depth = 0i32;
+    for j in p..end {
+        match text[j] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            b'.' if depth == 0 => {
+                let name = &text[j + 1..];
+                let name = &name[..name.iter().take_while(|&&c| is_ident_byte(c)).count()];
+                if !GUARD_CALLS.split(' ').any(|c| c.as_bytes() == name) {
+                    return false;
+                }
+            }
+            _ => {}
+        }
+    }
+    true
 }
 
 /// End of the held interval for an acquisition at `p` with depth `d`.
@@ -202,8 +237,10 @@ fn find_acqs(f: &SourceFile, table: &CrateTable, func: &FnSym, body: &FnBody) ->
             }
             let ss = stmt_start(&body.text, p);
             let stmt = std::str::from_utf8(&body.text[ss..p]).unwrap_or("");
-            let bound = let_binding(stmt);
-            let end = held_end(body, p, body.depth[p], bound);
+            let d = body.depth[p];
+            let bound = let_binding(stmt)
+                .filter(|_| binds_guard(&body.text, ss, p, held_end(body, p, d, None)));
+            let end = held_end(body, p, d, bound);
             acqs.push(Acq {
                 lock,
                 off: p,
@@ -375,7 +412,7 @@ struct RawEdge {
     func: String,
 }
 
-/// Run the pass: build the graph, report cycles as findings, and flag
+/// Run the pass: build the graph, report its edges as findings, and flag
 /// guards held across blocking calls.
 pub fn analyze(
     cfg: &Config,
@@ -480,62 +517,36 @@ pub fn analyze(
         }
     }
 
-    // Dedup to one witness per (from, to), keeping the first site in
-    // (file, line) order.
+    // Report each edge once, at its first unwaived witness site in
+    // (file, line) order; the graph keeps the first site of every edge.
     raw_edges.sort_by(|a, b| {
         (a.from, a.to, a.file.as_str(), a.line).cmp(&(b.from, b.to, b.file.as_str(), b.line))
     });
-    raw_edges.dedup_by(|a, b| a.from == b.from && a.to == b.to);
-
-    let mut adj: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for e in &raw_edges {
-        adj.entry(e.from).or_default().insert(e.to);
-    }
-
-    let cycles = find_cycles(locks.len(), &adj);
-
-    // Report each cycle, unless a suppression covers one of its witnesses.
     let by_rel: HashMap<&str, &SourceFile> = sources.iter().map(|f| (f.rel.as_str(), f)).collect();
-    for cyc in &cycles {
-        let mut witnesses = Vec::new();
-        for w in 0..cyc.len() {
-            let (from, to) = (cyc[w], cyc[(w + 1) % cyc.len()]);
-            if let Some(e) = raw_edges.iter().find(|e| e.from == from && e.to == to) {
-                witnesses.push(e);
-            }
-        }
-        let waived = witnesses.iter().any(|e| {
-            by_rel
-                .get(e.file.as_str())
-                .is_some_and(|f| suppressed(f, e.line - 1, Rule::LockOrder))
-        });
-        if waived || witnesses.is_empty() {
+    let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
+    for e in &raw_edges {
+        let waived = by_rel
+            .get(e.file.as_str())
+            .is_some_and(|f| suppressed(f, e.line - 1, Rule::LockOrder));
+        if waived || !reported.insert((e.from, e.to)) {
             continue;
         }
-        let mut path: Vec<&str> = cyc.iter().map(|&g| locks[g].2.id.as_str()).collect();
-        path.push(locks[cyc[0]].2.id.as_str());
-        let detail = witnesses
-            .iter()
-            .map(|e| {
-                format!(
-                    "`{} -> {}` at {}:{} (in `{}`)",
-                    locks[e.from].2.id, locks[e.to].2.id, e.file, e.line, e.func
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("; witness ");
+        let (from, to) = (&locks[e.from].2.id, &locks[e.to].2.id);
         findings.push(Finding {
-            file: witnesses[0].file.clone(),
-            line: witnesses[0].line,
+            file: e.file.clone(),
+            line: e.line,
             rule: Rule::LockOrder,
             message: format!(
-                "potential deadlock: lock-order cycle `{}`; witness {detail}",
-                path.join(" -> ")
+                "lock nesting `{from} -> {to}` (in `{}`): this line takes `{to}`, directly or \
+                 through a call, while `{from}` is held; a thread must never hold two \
+                 workspace locks at once — release `{from}` first, or justify with a \
+                 `// lint: allow(lock-order) <reason>`",
+                e.func
             ),
         });
     }
+    raw_edges.dedup_by(|a, b| a.from == b.from && a.to == b.to);
 
-    let order = topo_order(&locks, &adj);
     LockGraph {
         edges: raw_edges
             .iter()
@@ -547,89 +558,8 @@ pub fn analyze(
                 func: e.func.clone(),
             })
             .collect(),
-        cycles: cycles
-            .iter()
-            .map(|c| c.iter().map(|&g| locks[g].2.id.clone()).collect())
-            .collect(),
-        order,
         locks: locks.into_iter().map(|(_, _, n)| n).collect(),
     }
-}
-
-/// Elementary cycles, canonicalized so each starts at its smallest node.
-fn find_cycles(n: usize, adj: &BTreeMap<usize, BTreeSet<usize>>) -> Vec<Vec<usize>> {
-    let mut cycles = Vec::new();
-    for start in 0..n {
-        let mut path = vec![start];
-        let mut on_path: BTreeSet<usize> = [start].into();
-        dfs_cycles(start, start, adj, &mut path, &mut on_path, &mut cycles);
-        if cycles.len() >= 64 {
-            break;
-        }
-    }
-    cycles
-}
-
-fn dfs_cycles(
-    start: usize,
-    at: usize,
-    adj: &BTreeMap<usize, BTreeSet<usize>>,
-    path: &mut Vec<usize>,
-    on_path: &mut BTreeSet<usize>,
-    cycles: &mut Vec<Vec<usize>>,
-) {
-    let Some(nexts) = adj.get(&at) else {
-        return;
-    };
-    for &nx in nexts {
-        if nx == start {
-            cycles.push(path.clone());
-        } else if nx > start && !on_path.contains(&nx) && cycles.len() < 64 {
-            path.push(nx);
-            on_path.insert(nx);
-            dfs_cycles(start, nx, adj, path, on_path, cycles);
-            path.pop();
-            on_path.remove(&nx);
-        }
-    }
-}
-
-/// Kahn's algorithm with lexicographic tie-break; nodes stuck in cycles are
-/// appended at the end in id order (the order is only canonical when the
-/// graph is acyclic, which `--deny` enforces).
-fn topo_order(
-    locks: &[(&str, usize, LockNode)],
-    adj: &BTreeMap<usize, BTreeSet<usize>>,
-) -> Vec<String> {
-    let n = locks.len();
-    let mut indeg = vec![0usize; n];
-    for nexts in adj.values() {
-        for &t in nexts {
-            indeg[t] += 1;
-        }
-    }
-    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut out = Vec::with_capacity(n);
-    let mut done = vec![false; n];
-    while let Some(&i) = ready.iter().next() {
-        ready.remove(&i);
-        done[i] = true;
-        out.push(locks[i].2.id.clone());
-        if let Some(nexts) = adj.get(&i) {
-            for &t in nexts {
-                indeg[t] -= 1;
-                if indeg[t] == 0 && !done[t] {
-                    ready.insert(t);
-                }
-            }
-        }
-    }
-    for (i, l) in locks.iter().enumerate() {
-        if !done[i] {
-            out.push(l.2.id.clone());
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -671,15 +601,18 @@ impl Pair {
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", CYCLIC)]);
         assert_eq!(graph.locks.len(), 2);
         assert_eq!(graph.edges.len(), 2);
-        assert_eq!(graph.cycles.len(), 1);
-        assert_eq!(findings.len(), 1);
-        let msg = &findings[0].message;
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == Rule::LockOrder));
+        let (fwd, rev) = (&findings[0].message, &findings[1].message);
         assert!(
-            msg.contains("app::Pair.a -> app::Pair.b -> app::Pair.a"),
-            "{msg}"
+            fwd.contains("`app::Pair.a -> app::Pair.b` (in `fwd`)"),
+            "{fwd}"
         );
-        assert!(msg.contains("(in `fwd`)"), "{msg}");
-        assert!(msg.contains("(in `rev`)"), "{msg}");
+        assert!(
+            rev.contains("`app::Pair.b -> app::Pair.a` (in `rev`)"),
+            "{rev}"
+        );
+        assert_eq!((findings[0].line, findings[1].line), (7, 12));
     }
 
     #[test]
@@ -699,11 +632,11 @@ impl S {
 }
 "#;
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", src)]);
-        assert!(findings.is_empty());
         assert_eq!(graph.edges.len(), 1);
         assert_eq!(graph.edges[0].from, "app::S.a");
         assert_eq!(graph.edges[0].to, "app::S.b");
-        assert_eq!(graph.order, vec!["app::S.a", "app::S.b"]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 7, "reported at the call site");
     }
 
     #[test]
@@ -714,18 +647,17 @@ pub struct S { a: Mutex<u64>, b: Mutex<u64> }
 impl S {
     pub fn seq(&self) -> u64 {
         let x = *self.a.lock().unwrap();
-        let y = *self.b.lock().unwrap();
-        x + y
+        let y = self.b.lock().unwrap().wrapping_add(x);
+        let z = *self.a.lock().unwrap();
+        y + z
     }
 }
 "#;
-        // Both guards are temporaries (bound values are u64 copies)… but the
-        // analysis over-approximates `let`-statements as guards held to end
-        // of block, so the edge a -> b is expected; what matters is there is
-        // no reverse edge, hence no cycle.
+        // Each `let` binds a copy or a projection, not the guard: Rust drops
+        // the guard at the end of the statement, so no two overlap.
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", src)]);
-        assert!(findings.is_empty());
-        assert!(graph.cycles.is_empty());
+        assert!(findings.is_empty(), "{findings:?}");
+        assert!(graph.edges.is_empty(), "{:?}", graph.edges);
     }
 
     #[test]
@@ -765,14 +697,15 @@ pub fn print_all(lines: &[String]) {
     }
 
     #[test]
-    fn suppression_on_a_witness_waives_the_cycle() {
+    fn suppression_on_a_witness_waives_only_that_edge() {
         let src = CYCLIC.replace(
             "let gb = self.b.lock().unwrap();\n        let ga = self.a.lock().unwrap();",
             "let gb = self.b.lock().unwrap();\n        // lint: allow(lock-order) drain order is pinned by the caller.\n        let ga = self.a.lock().unwrap();",
         );
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", &src)]);
-        assert_eq!(graph.cycles.len(), 1, "graph still records the cycle");
-        assert!(findings.is_empty(), "finding waived: {findings:?}");
+        assert_eq!(graph.edges.len(), 2, "graph still records both edges");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("(in `fwd`)"), "{findings:?}");
     }
 
     #[test]

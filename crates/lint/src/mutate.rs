@@ -4,7 +4,7 @@
 //! silent matching bug lints clean too. This harness turns the claim into a
 //! measurement: for every rule × every target crate it seeds **one**
 //! representative violation into an in-memory copy of the real tree (drop a
-//! SAFETY comment, remove a length clamp, swap two lock acquisitions,
+//! SAFETY comment, remove a length clamp, nest two lock acquisitions,
 //! un-justify a channel), reruns the full analysis, and records whether the
 //! rule *killed* the mutant — i.e. produced a finding of that rule in the
 //! mutated file. CI runs `cardest-lint --mutate` and fails below a 100 %
@@ -147,16 +147,13 @@ fn mutant_for(rule: Rule, krate: &str) -> Option<Mutation> {
             content: "pub enum Frame {\n    InjectedVariant,\n}\n".to_string(),
         }),
         Rule::LockOrder => Some(Mutation::AddFile {
-            rel: src("injected_cycle.rs"),
+            rel: src("injected_nesting.rs"),
             content: "use std::sync::Mutex;\n\n\
                       pub struct InjectedPair {\n    a: Mutex<u64>,\n    b: Mutex<u64>,\n}\n\n\
                       impl InjectedPair {\n    \
-                      pub fn injected_fwd(&self) -> u64 {\n        \
+                      pub fn injected_nest(&self) -> u64 {\n        \
                       let ga = self.a.lock().unwrap();\n        \
-                      let gb = self.b.lock().unwrap();\n        *ga + *gb\n    }\n    \
-                      pub fn injected_rev(&self) -> u64 {\n        \
-                      let gb = self.b.lock().unwrap();\n        \
-                      let ga = self.a.lock().unwrap();\n        *ga - *gb\n    }\n}\n"
+                      let gb = self.b.lock().unwrap();\n        *ga + *gb\n    }\n}\n"
                 .to_string(),
         }),
         Rule::CounterDrift => Some(Mutation::AddFile {
@@ -472,7 +469,7 @@ mod tests {
             outcomes: vec![MutantOutcome {
                 rule: Rule::LockOrder,
                 krate: "serve",
-                file: "crates/serve/src/injected_cycle.rs".to_string(),
+                file: "crates/serve/src/injected_nesting.rs".to_string(),
                 status: MutantStatus::Survived,
                 findings: 0,
             }],

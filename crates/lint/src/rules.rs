@@ -25,7 +25,8 @@ pub enum Rule {
     NoAllocHotPath,
     /// Every wire enum variant is exercised by the crate's test suites.
     WireKindCoverage,
-    /// No cycle in the cross-file lock-acquisition graph.
+    /// No lock is acquired while another is held (no edge in the
+    /// cross-file lock-acquisition graph).
     LockOrder,
     /// Counters surfaced in `MetricsSnapshot` are read only through the
     /// registry's sanctioned readers (or a same-named getter).
@@ -99,7 +100,7 @@ impl Rule {
                 "every wire enum variant is exercised by the owning crate's test suites"
             }
             Rule::LockOrder => {
-                "the cross-file lock-acquisition graph must be cycle-free (potential deadlocks)"
+                "no workspace lock is acquired while another is held (lock-graph edges)"
             }
             Rule::CounterDrift => {
                 "surfaced metrics counters are read via the registry, never ad-hoc `.load()`s"

@@ -3,7 +3,7 @@
 use crate::init;
 use crate::kernels::Parallelism;
 use crate::matrix::Matrix;
-use crate::params::{ParamId, ParamStore};
+use crate::params::{ParamId, ParamShape, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -132,6 +132,30 @@ impl Dense {
     pub fn num_params(&self) -> usize {
         self.in_dim * self.out_dim + self.out_dim
     }
+}
+
+/// The parameter shapes of a chain of `layers` whose widths should be
+/// `widths` (input, then each layer's output), or an error if a layer
+/// records other dimensions.
+pub fn chain_shapes(layers: &[Dense], widths: &[usize]) -> Result<Vec<ParamShape>, String> {
+    if layers.len() + 1 != widths.len() {
+        return Err(format!(
+            "{} layers where the config implies {}",
+            layers.len(),
+            widths.len().saturating_sub(1)
+        ));
+    }
+    let mut shapes = Vec::with_capacity(2 * layers.len());
+    for (l, w) in layers.iter().zip(widths.windows(2)) {
+        if (l.in_dim, l.out_dim) != (w[0], w[1]) {
+            return Err(format!(
+                "a {}x{} layer where the config implies {}x{}",
+                l.in_dim, l.out_dim, w[0], w[1]
+            ));
+        }
+        shapes.extend([(l.w, (w[0], w[1])), (l.b, (1, w[1]))]);
+    }
+    Ok(shapes)
 }
 
 /// A stack of [`Dense`] layers.

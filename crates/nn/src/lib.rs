@@ -39,6 +39,6 @@ pub use kernels::{KernelBackend, Parallelism};
 pub use layers::{Activation, Dense, Mlp};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
-pub use params::{ParamId, ParamStore};
+pub use params::{ParamId, ParamShape, ParamStore};
 pub use tape::{Tape, Var};
 pub use vae::{Vae, VaeConfig};

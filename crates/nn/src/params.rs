@@ -12,6 +12,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(pub(crate) usize);
 
+/// A parameter and the `(rows, cols)` shape a model expects it to have.
+pub type ParamShape = (ParamId, (usize, usize));
+
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct Param {
     name: String,
@@ -115,6 +118,32 @@ impl ParamStore {
     /// reported by the Table 9 "model size" experiment.
     pub fn size_bytes(&self) -> usize {
         self.num_scalars() * std::mem::size_of::<f32>()
+    }
+
+    /// Checks that the store holds exactly the `expected` parameters, each
+    /// `rows × cols` with a buffer of `rows * cols` values: what every
+    /// kernel assumes and deserialization alone does not check.
+    pub fn check_shapes(&self, expected: &[ParamShape]) -> Result<(), String> {
+        let mut seen = vec![false; self.params.len()];
+        for &(id, (rows, cols)) in expected {
+            let p = self.params.get(id.0);
+            let p = p.ok_or_else(|| format!("parameter #{} is missing", id.0))?;
+            let len = p.value.as_slice().len();
+            if std::mem::replace(&mut seen[id.0], true) {
+                return Err(format!("parameter `{}` is used twice", p.name));
+            }
+            if p.value.shape() != (rows, cols) || rows.checked_mul(cols) != Some(len) {
+                let (r, c) = p.value.shape();
+                return Err(format!(
+                    "parameter `{}` is {r}x{c} with {len} values, the model expects {rows}x{cols}",
+                    p.name
+                ));
+            }
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(i) => Err(format!("parameter `{}` is unused", self.params[i].name)),
+            None => Ok(()),
+        }
     }
 
     /// Global L2 norm of all gradients — used for gradient clipping.

@@ -8,17 +8,17 @@
 //! so the overall estimator stays deterministic — a precondition of the
 //! monotonicity guarantee (Lemma 2).
 
-use crate::layers::{Activation, Mlp};
+use crate::layers::{chain_shapes, Activation, Mlp};
 use crate::loss;
 use crate::matrix::Matrix;
-use crate::params::ParamStore;
+use crate::params::{ParamShape, ParamStore};
 use crate::rng;
 use crate::tape::{Tape, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the VAE.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct VaeConfig {
     /// Input (binary vector) dimensionality.
     pub input_dim: usize,
@@ -111,6 +111,25 @@ impl Vae {
             logvar_head,
             decoder,
         }
+    }
+
+    /// The shapes of every VAE parameter as implied by [`Vae::config`], or an
+    /// error if a layer disagrees with the config.
+    pub fn param_shapes(&self) -> Result<Vec<ParamShape>, String> {
+        let c = &self.config;
+        let enc_out = *c.hidden.last().ok_or("VAE config has no hidden layer")?;
+        let mut shapes = chain_shapes(
+            &self.encoder.layers,
+            &[&[c.input_dim], &c.hidden[..]].concat(),
+        )?;
+        for head in [&self.mu_head, &self.logvar_head] {
+            shapes.extend(chain_shapes(&head.layers, &[enc_out, c.latent_dim])?);
+        }
+        let mut dec_widths = vec![c.latent_dim];
+        dec_widths.extend(c.hidden.iter().rev());
+        dec_widths.push(c.input_dim);
+        shapes.extend(chain_shapes(&self.decoder.layers, &dec_widths)?);
+        Ok(shapes)
     }
 
     /// Training forward pass: encodes `x`, samples `z`, decodes, and builds the

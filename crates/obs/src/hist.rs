@@ -1,9 +1,10 @@
 //! Log-bucketed latency histograms with lock-free concurrent recording.
 //!
 //! Bucket `b` covers `[2^b, 2^{b+1})` nanoseconds (bucket 0 additionally
-//! absorbs 0 ns), mirroring the convention used by `ServiceStats` in
-//! `cardest-serve` so quantiles from the two layers are directly comparable.
-//! 48 buckets cover ~78 hours, far beyond any plausible request latency.
+//! absorbs 0 ns); `ServiceStats` in `cardest-serve` records its end-to-end
+//! latency in one of these too, so quantiles from the two layers are
+//! directly comparable. 48 buckets cover ~78 hours, far beyond any
+//! plausible request latency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

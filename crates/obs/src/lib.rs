@@ -2,8 +2,8 @@
 //!
 //! Std-only building blocks threaded through the whole request path:
 //!
-//! - [`LogHistogram`] — lock-free log2-bucketed latency histograms, using
-//!   the same bucket convention as `ServiceStats` so quantiles line up.
+//! - [`LogHistogram`] — lock-free log2-bucketed latency histograms, also
+//!   behind `ServiceStats`'s end-to-end latency so quantiles line up.
 //! - [`Stage`] / [`TraceBuilder`] / [`Trace`] — a zero-allocation span API
 //!   over a monotonic clock: jobs carry a fixed-size [`TraceBuilder`] and
 //!   each pipeline stage adds its elapsed time with one array store.
@@ -16,20 +16,19 @@
 //!   ([`MetricsSnapshot::render_prometheus`]) and JSON rendering
 //!   ([`MetricsSnapshot::render_json`]), shared by the wire `Stats` frame
 //!   and the HTTP metrics endpoint.
-//! - [`witness`] — a process-wide lock-witness callback hook: the embedding
-//!   service installs two `fn` pointers and every `Observer` internal lock
-//!   acquisition is reported to its runtime lock-rank checker, without obs
-//!   taking any dependency on the layers above it.
+//! - [`sole_lock()`] — the runtime half of the workspace's one lock rule: a
+//!   debug-build check that no thread takes a serve or obs lock while
+//!   holding another.
 //!
 //! This crate depends on nothing (std only) so every layer — core, nn,
 //! serve, bench — can feed it without dependency cycles.
 
 pub mod hist;
 pub mod snapshot;
+mod sole_lock;
 pub mod trace;
-pub mod witness;
 
 pub use hist::{bucket_midpoint_ns, bucket_of, HistogramSnapshot, LogHistogram, HIST_BUCKETS};
 pub use snapshot::{json_f64, json_str, MetricsSnapshot};
+pub use sole_lock::{sole_lock, SoleLock};
 pub use trace::{ObsConfig, Observer, Stage, Trace, TraceBuilder, STAGES, STAGE_COUNT};
-pub use witness::{install as install_witness, ObsLock, WitnessHook};

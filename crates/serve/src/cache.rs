@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-use crate::lockwitness::{self, TrackedLock};
+use cardest_obs::sole_lock;
 
 /// Outcome of a cache probe.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -235,7 +235,7 @@ impl EstimateCache {
         if !self.enabled {
             return CacheLookup::Miss;
         }
-        let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+        let _sole = sole_lock();
         self.shard(epoch, fp)
             .lock()
             .expect("cache poisoned")
@@ -246,7 +246,7 @@ impl EstimateCache {
         if !self.enabled {
             return;
         }
-        let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+        let _sole = sole_lock();
         self.shard(epoch, fp)
             .lock()
             .expect("cache poisoned")
@@ -258,7 +258,7 @@ impl EstimateCache {
         self.shards
             .iter()
             .map(|s| {
-                let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+                let _sole = sole_lock();
                 s.lock().expect("cache poisoned").len
             })
             .sum()
@@ -277,7 +277,7 @@ impl EstimateCache {
         self.shards
             .iter()
             .map(|s| {
-                let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+                let _sole = sole_lock();
                 s.lock().expect("cache poisoned").index.len()
             })
             .sum()

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::lockwitness::{self, TrackedLock};
+use cardest_obs::sole_lock;
 
 /// An immutable published model: the unit of hot-swap.
 pub struct ServeModel {
@@ -67,7 +67,7 @@ impl ModelRegistry {
     /// model finish on their own `Arc`; new lookups observe the swap.
     pub fn publish(&self, name: &str, estimator: CardNetEstimator) -> u64 {
         let monotone = estimator.is_monotonic();
-        let _witness = lockwitness::acquire(TrackedLock::RegistryModels);
+        let _sole = sole_lock();
         let mut models = self.models.lock().expect("registry poisoned");
         // The epoch is bumped under the same lock that installs the model, so
         // a reader that observes the new epoch also observes the new Arc.
@@ -103,7 +103,7 @@ impl ModelRegistry {
     /// Current model for `name`, if any. Takes the registry lock briefly;
     /// hot paths should go through a [`RegistryReader`] instead.
     pub fn get(&self, name: &str) -> Option<Arc<ServeModel>> {
-        let _witness = lockwitness::acquire(TrackedLock::RegistryModels);
+        let _sole = sole_lock();
         self.models
             .lock()
             .expect("registry poisoned")
@@ -117,7 +117,7 @@ impl ModelRegistry {
     }
 
     pub fn model_names(&self) -> Vec<String> {
-        let _witness = lockwitness::acquire(TrackedLock::RegistryModels);
+        let _sole = sole_lock();
         let mut names: Vec<String> = self
             .models
             .lock()
@@ -169,7 +169,46 @@ impl RegistryReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::tiny_estimator;
+    use crate::testutil::{tiny_estimator, tiny_setup};
+    use cardest_fx::build_extractor;
+
+    #[test]
+    fn publish_snapshot_refuses_malformed_weights() {
+        let (ds, est) = tiny_setup(9);
+        let snap = Snapshot {
+            version: Snapshot::VERSION,
+            model: est.model().clone(),
+            params: est.store().clone(),
+            extractor: est.extractor().name().to_string(),
+            tau_max: est.extractor().tau_max(),
+        };
+        let json = snap.to_json().expect("serialize");
+        // A weight buffer one value short, `cardnet.E` (9x5) transposed, and
+        // the last parameter dropped: each parses, none may go live.
+        let mut truncated = json.clone();
+        let at = truncated.find("\"data\":[").expect("a buffer") + "\"data\":[".len();
+        truncated.replace_range(at..=at + truncated[at..].find(',').expect(","), "");
+        let swapped = json.replacen("\"rows\":9,\"cols\":5", "\"rows\":5,\"cols\":9", 1);
+        let mut dropped = json.clone();
+        let start = dropped.rfind(",{\"name\":").expect("several params");
+        dropped.replace_range(
+            start..start + dropped[start..].find("}}]").expect("end") + 2,
+            "",
+        );
+
+        let reg = ModelRegistry::new();
+        for bad in [truncated, swapped, dropped] {
+            assert_ne!(bad, json, "corruption target not found");
+            let snap: Snapshot = serde_json::from_str(&bad).expect("still parses");
+            let fx = build_extractor(&ds, 8, 1);
+            match reg.publish_snapshot("m", snap, fx) {
+                Err(SnapshotError::Invalid(_)) => {}
+                other => panic!("expected Invalid, got {:?}", other.map(|_| ())),
+            }
+        }
+        assert_eq!(reg.epoch(), 0, "nothing was published");
+        assert!(reg.get("m").is_none());
+    }
 
     #[test]
     fn publish_bumps_epoch_and_tags_models() {

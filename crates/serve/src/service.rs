@@ -19,12 +19,11 @@
 //! thread to idle when traffic stops.
 
 use crate::cache::{CacheLookup, EstimateCache};
-use crate::lockwitness::{self, TrackedLock};
 use crate::registry::{ModelRegistry, RegistryReader, ServeModel};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use cardest_core::{CardinalityEstimator, Estimate, PreparedQuery};
 use cardest_data::{BitVec, Record};
-use cardest_obs::{ObsConfig, Observer, Stage, TraceBuilder};
+use cardest_obs::{sole_lock, ObsConfig, Observer, Stage, TraceBuilder};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -289,9 +288,6 @@ pub struct Service {
 
 impl Service {
     pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> Service {
-        // Bridge the observer's internal locks onto the debug lock witness
-        // before any worker can touch them (idempotent, no-op in release).
-        lockwitness::install_obs_witness();
         let cache = Arc::new(EstimateCache::new(config.cache_capacity));
         let stats = Arc::new(ServiceStats::new());
         let obs = Arc::new(Observer::new(config.obs_config()));
@@ -506,7 +502,7 @@ fn collect_batch(
     window: Duration,
     traced: bool,
 ) -> Vec<Job> {
-    let _witness = lockwitness::acquire(TrackedLock::JobQueue);
+    let _sole = sole_lock();
     // lint: allow(guard-held-across-blocking) the queue lock IS the batch-
     // collection critical section: exactly one worker assembles a batch at a
     // time while the others sleep on the mutex, and every recv under the

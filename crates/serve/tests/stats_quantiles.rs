@@ -5,19 +5,11 @@
 //! misfile a sample), and the quantiles read off that histogram land within
 //! one log2 bucket of the true order statistic.
 
+use cardest_obs::{bucket_midpoint_ns, bucket_of};
 use cardest_serve::ServiceStats;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The log2 bucket a latency of `ns` lands in, capped to the histogram
-/// width — the same `[2^b, 2^{b+1})` convention `ServiceStats` uses.
-fn bucket_of(ns: u64, n_buckets: usize) -> usize {
-    if ns == 0 {
-        return 0;
-    }
-    (63 - ns.leading_zeros() as usize).min(n_buckets - 1)
-}
 
 /// True order statistic under the histogram's rank rule:
 /// rank = max(1, ceil(q·n)).
@@ -68,15 +60,17 @@ proptest! {
         // deterministic walk)...
         let mut sorted = latencies.clone();
         sorted.sort_unstable();
-        let n_buckets = conc_snap.latency_hist.len();
         for &q in &[0.50, 0.99] {
             let conc_q = conc_snap.latency_quantile(q).as_nanos() as u64;
             let serial_q = serial_snap.latency_quantile(q).as_nanos() as u64;
             prop_assert_eq!(conc_q, serial_q, "q={}", q);
-            // ...and land within one bucket of the true order statistic
-            // (the histogram's resolution bound).
-            let got_bucket = bucket_of(conc_q, n_buckets) as i64;
-            let want_bucket = bucket_of(true_quantile_ns(&sorted, q), n_buckets) as i64;
+            // ...report a bucket's geometric midpoint, and land within one
+            // bucket of the true order statistic (the histogram's resolution
+            // bound).
+            let got_bucket = bucket_of(conc_q);
+            prop_assert_eq!(conc_q, bucket_midpoint_ns(got_bucket), "q={}", q);
+            let got_bucket = got_bucket as i64;
+            let want_bucket = bucket_of(true_quantile_ns(&sorted, q)) as i64;
             prop_assert!(
                 (got_bucket - want_bucket).abs() <= 1,
                 "q={}: reported bucket {} vs true bucket {}",
