@@ -96,12 +96,12 @@ const USAGE: &str = "usage:
                        [--index-range <loadgen query indices, default 1>]
                        [--theta <loadgen threshold, default 4>]
 
-Thread counts only change wall clock: every thread count and every kernel
-tier (scalar, blocked, explicit SIMD) is bit-identical, so estimates and
-trained weights never depend on them. The tier is picked once per process:
-the CARDEST_KERNEL_BACKEND env var (scalar|blocked|simd|auto) if set, else
-the best the CPU supports (AVX-512 → AVX2 → blocked). A flag the subcommand
-does not read is an error.";
+Thread counts only change wall clock: every thread count and both kernel
+tiers (scalar, explicit SIMD) are bit-identical, so estimates and trained
+weights never depend on them. The tier is picked once per process: the
+CARDEST_KERNEL_BACKEND env var (scalar|simd|auto) if set, else the best the
+CPU supports (AVX-512 → AVX2 → scalar). A flag the subcommand does not read
+is an error.";
 
 type Flags = HashMap<String, String>;
 

@@ -647,10 +647,10 @@ impl CardinalityEstimator for CardNetEstimator {
         self.model.infer_sum(&self.store, &x, tau)
     }
 
-    /// One batched kernel run for the whole batch: per-row arithmetic
-    /// mirrors [`CardNetModel::infer_sum`] exactly (left-to-right f64 prefix
-    /// sum over decoders `0..=τ`), so batched estimates are bit-identical to
-    /// the scalar path — the invariant the serving layer's cache relies on.
+    /// One batched kernel run for the whole batch: each row's curve is the
+    /// left-to-right f64 prefix sum of [`CardNetModel::infer_sum`], so
+    /// batched estimates are bit-identical to the scalar path — the
+    /// invariant the serving layer's cache relies on.
     fn estimate_batch(&self, prepared: &[&PreparedQuery], thetas: &[f64]) -> Vec<Estimate> {
         assert_eq!(
             prepared.len(),
@@ -659,29 +659,13 @@ impl CardinalityEstimator for CardNetEstimator {
             prepared.len(),
             thetas.len()
         );
-        if prepared.is_empty() {
-            return Vec::new();
-        }
-        let x = self.batch_feature_matrix(prepared);
-        let dist = self.model.infer_dist_batch_with(&self.store, &x, self.par);
-        let n_out = self.model.config.n_out;
-        let incremental = self.model.config.incremental;
         let source: Arc<str> = CardinalityEstimator::name(self).into();
-        thetas
+        self.curve_batch(prepared)
             .iter()
-            .enumerate()
-            .map(|(r, &theta)| {
-                let tau = self.fx.map_threshold(theta).min(n_out - 1);
-                let value = if incremental {
-                    let mut acc = 0.0f64;
-                    for j in 0..=tau {
-                        acc += f64::from(dist.get(r, j));
-                    }
-                    acc
-                } else {
-                    f64::from(dist.get(r, tau))
-                };
-                Estimate::exact(value).with_source(Arc::clone(&source))
+            .zip(thetas)
+            .map(|(curve, &theta)| {
+                Estimate::exact(curve.value_at(self.threshold_step(theta)))
+                    .with_source(Arc::clone(&source))
             })
             .collect()
     }
@@ -928,7 +912,6 @@ mod tests {
         }
         for backend in [
             cardest_nn::KernelBackend::Scalar,
-            cardest_nn::KernelBackend::Blocked,
             cardest_nn::KernelBackend::Simd,
         ] {
             est.set_parallelism(Parallelism::threads(2).with_backend(backend));

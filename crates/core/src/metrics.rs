@@ -33,8 +33,6 @@ struct Slab {
     extractions: AtomicU64,
     encoder_passes: AtomicU64,
     decoder_calls: AtomicU64,
-    sheds: AtomicU64,
-    degraded_answers: AtomicU64,
     encoder_ns: AtomicU64,
     decoder_ns: AtomicU64,
 }
@@ -45,8 +43,6 @@ impl Slab {
             extractions: self.extractions.load(Ordering::Relaxed),
             encoder_passes: self.encoder_passes.load(Ordering::Relaxed),
             decoder_calls: self.decoder_calls.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            degraded_answers: self.degraded_answers.load(Ordering::Relaxed),
             encoder_ns: self.encoder_ns.load(Ordering::Relaxed),
             decoder_ns: self.decoder_ns.load(Ordering::Relaxed),
         }
@@ -58,9 +54,6 @@ impl Slab {
             .fetch_add(c.encoder_passes, Ordering::Relaxed);
         self.decoder_calls
             .fetch_add(c.decoder_calls, Ordering::Relaxed);
-        self.sheds.fetch_add(c.sheds, Ordering::Relaxed);
-        self.degraded_answers
-            .fetch_add(c.degraded_answers, Ordering::Relaxed);
         self.encoder_ns.fetch_add(c.encoder_ns, Ordering::Relaxed);
         self.decoder_ns.fetch_add(c.decoder_ns, Ordering::Relaxed);
     }
@@ -136,24 +129,6 @@ pub fn record_decoder_calls(n: u64) {
     });
 }
 
-/// Records one load-shed decision: a request refused a model run by
-/// admission control or an expired deadline (whether or not a degraded
-/// answer was still possible).
-pub fn record_shed() {
-    with_slab(|s| {
-        s.sheds.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// Records one **degraded** answer: a shed request answered from a monotone
-/// cache bracket instead of a model run. Always ≤ [`record_shed`]'s count —
-/// the difference is hard rejects.
-pub fn record_degraded_answer() {
-    with_slab(|s| {
-        s.degraded_answers.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
 /// Records wall-clock time spent in encoder forward passes (feature/latent
 /// matmuls). Feeds the `encoder_pass` tracing span in the serving layer.
 pub fn record_encoder_time(d: Duration) {
@@ -179,10 +154,6 @@ pub struct ApiCounters {
     pub extractions: u64,
     pub encoder_passes: u64,
     pub decoder_calls: u64,
-    /// Load-shed decisions (serving layer: admission control / deadlines).
-    pub sheds: u64,
-    /// Degraded answers served from a monotone cache bracket.
-    pub degraded_answers: u64,
     /// Nanoseconds spent in encoder forward passes.
     pub encoder_ns: u64,
     /// Nanoseconds spent in monotone decoder sweeps.
@@ -219,8 +190,6 @@ impl ApiCounters {
             extractions: self.extractions - earlier.extractions,
             encoder_passes: self.encoder_passes - earlier.encoder_passes,
             decoder_calls: self.decoder_calls - earlier.decoder_calls,
-            sheds: self.sheds - earlier.sheds,
-            degraded_answers: self.degraded_answers - earlier.degraded_answers,
             encoder_ns: self.encoder_ns - earlier.encoder_ns,
             decoder_ns: self.decoder_ns - earlier.decoder_ns,
         }
@@ -231,8 +200,6 @@ impl ApiCounters {
             extractions: self.extractions.saturating_add(other.extractions),
             encoder_passes: self.encoder_passes.saturating_add(other.encoder_passes),
             decoder_calls: self.decoder_calls.saturating_add(other.decoder_calls),
-            sheds: self.sheds.saturating_add(other.sheds),
-            degraded_answers: self.degraded_answers.saturating_add(other.degraded_answers),
             encoder_ns: self.encoder_ns.saturating_add(other.encoder_ns),
             decoder_ns: self.decoder_ns.saturating_add(other.decoder_ns),
         }
@@ -250,9 +217,6 @@ mod tests {
         record_encoder_pass();
         record_encoder_pass();
         record_decoder_calls(3);
-        record_shed();
-        record_shed();
-        record_degraded_answer();
         record_encoder_time(Duration::from_nanos(500));
         record_decoder_time(Duration::from_nanos(200));
         let delta = ApiCounters::snapshot().delta_since(&before);
@@ -261,8 +225,6 @@ mod tests {
         assert_eq!(delta.extractions, 1);
         assert_eq!(delta.encoder_passes, 2);
         assert_eq!(delta.decoder_calls, 3);
-        assert_eq!(delta.sheds, 2);
-        assert_eq!(delta.degraded_answers, 1);
         assert_eq!(delta.encoder_ns, 500);
         assert_eq!(delta.decoder_ns, 200);
     }
@@ -304,16 +266,16 @@ mod tests {
         let (ready_tx, ready_rx) = mpsc::channel();
         let (done_tx, done_rx) = mpsc::channel::<()>();
         let h = std::thread::spawn(move || {
-            record_shed();
-            record_degraded_answer();
+            record_extraction();
+            record_decoder_calls(2);
             ready_tx.send(()).unwrap();
             // Hold the thread alive until the main thread has observed.
             done_rx.recv().unwrap();
         });
         ready_rx.recv().unwrap();
         let delta = ApiCounters::process_totals().delta_since(&before);
-        assert!(delta.sheds >= 1);
-        assert!(delta.degraded_answers >= 1);
+        assert!(delta.extractions >= 1);
+        assert!(delta.decoder_calls >= 2);
         done_tx.send(()).unwrap();
         h.join().unwrap();
     }

@@ -14,7 +14,7 @@
 //! embeddings through a head matrix (Figure 4), cutting estimation cost from
 //! `O((τ+1)·|Φ|)` to `O(|Φ′|)`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cardest_nn::kernels::partition_rows;
 use cardest_nn::layers::{chain_shapes, Activation, Dense, Mlp};
@@ -380,61 +380,15 @@ impl CardNetModel {
 
     /// Inference fast path: per-distance predictions for one query (row
     /// vector `1 × d`), deterministic (VAE mean latent). Only the first
-    /// `tau + 1` decoders are evaluated for the shared encoder — the paper's
+    /// `tau + 1` embeddings are computed for the shared encoder — the paper's
     /// `O((τ+1)|Φ|)` cost — while the accelerated encoder computes all
-    /// embeddings in one pass (`O(|Φ′|)`).
+    /// embeddings in one pass (`O(|Φ′|)`). The same encode and decode steps
+    /// as [`CardNetModel::encode_all`] + [`CardNetModel::decode_prefix`], so
+    /// the two agree bit for bit.
     pub fn infer_dist(&self, store: &ParamStore, x: &Matrix, tau: usize) -> Vec<f32> {
-        crate::metrics::record_encoder_pass();
-        crate::metrics::record_decoder_calls(tau.min(self.config.n_out - 1) as u64 + 1);
         let tau = tau.min(self.config.n_out - 1);
-        let xprime = match &self.vae {
-            Some(vae) => {
-                let mu = vae.latent_mean(store, x);
-                Matrix::hconcat(&[x, &mu])
-            }
-            None => x.clone(),
-        };
-        let e = store.value(self.e);
-        let dec_w = store.value(self.dec_w);
-        let dec_b = store.value(self.dec_b);
-
-        match (&self.phi, &self.phi_a) {
-            (Some(phi), _) => (0..=tau)
-                .map(|i| {
-                    let mut xi = Matrix::zeros(x.rows(), xprime.cols() + self.config.e_dim);
-                    for r in 0..x.rows() {
-                        let row = xi.row_mut(r);
-                        row[..xprime.cols()].copy_from_slice(xprime.row(r));
-                        row[xprime.cols()..].copy_from_slice(e.row(i));
-                    }
-                    let z = phi.infer(store, &xi);
-                    decode_row(z.row(0), dec_w, dec_b, i)
-                })
-                .collect(),
-            (None, Some(pa)) => {
-                let mut h = xprime;
-                let mut blocks: Vec<Matrix> = Vec::with_capacity(pa.hidden.len());
-                for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
-                    h = layer.infer(store, &h);
-                    blocks.push(h.matmul(store.value(head)));
-                }
-                (0..=tau)
-                    .map(|i| {
-                        let mut z = Matrix::zeros(1, self.config.z_dim);
-                        let mut at = 0;
-                        for (block, &r) in blocks.iter().zip(&pa.regions) {
-                            let zr = z.row_mut(0);
-                            for (k, v) in zr[at..at + r].iter_mut().enumerate() {
-                                *v = block.get(0, i * r + k).max(0.0);
-                            }
-                            at += r;
-                        }
-                        decode_row(z.row(0), dec_w, dec_b, i)
-                    })
-                    .collect()
-            }
-            _ => unreachable!("model has exactly one encoder"),
-        }
+        let z = self.encode_prefix(store, x, tau + 1, Parallelism::serial());
+        self.decode_prefix(store, &z, tau)
     }
 
     /// The estimate at threshold τ: the prefix sum `Σ_{i≤τ} g_i(x)` (Eq. 1)
@@ -454,8 +408,7 @@ impl CardNetModel {
     /// `n_out × z_dim` matrix (output activations applied). This is the
     /// cacheable half of a prepared query: decoding any τ from the returned
     /// matrix via [`CardNetModel::decode_prefix`] reproduces
-    /// [`CardNetModel::infer_dist`] bit for bit, because each row is computed
-    /// with exactly the per-distance arithmetic of the single-shot path.
+    /// [`CardNetModel::infer_dist`] bit for bit.
     pub fn encode_all(&self, store: &ParamStore, x: &Matrix) -> Matrix {
         self.encode_all_with(store, x, Parallelism::serial())
     }
@@ -467,60 +420,7 @@ impl CardNetModel {
     /// still computed by the exact serial arithmetic, so the result is
     /// bit-identical for any `par`.
     pub fn encode_all_with(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
-        crate::metrics::record_encoder_pass();
-        let t_enc = Instant::now();
-        let n_out = self.config.n_out;
-        let xprime = match &self.vae {
-            Some(vae) => {
-                let mu = vae.latent_mean(store, x);
-                Matrix::hconcat(&[x, &mu])
-            }
-            None => x.clone(),
-        };
-        let e = store.value(self.e);
-        let mut z_all = Matrix::zeros(n_out, self.config.z_dim);
-
-        match (&self.phi, &self.phi_a) {
-            (Some(phi), _) => {
-                let workers = par.workers(n_out, n_out * phi.num_params());
-                let z_dim = self.config.z_dim;
-                let xprime = &xprime;
-                partition_rows(z_all.as_mut_slice(), z_dim, workers, |first_row, chunk| {
-                    for (i_local, z_row) in chunk.chunks_mut(z_dim).enumerate() {
-                        let i = first_row + i_local;
-                        let mut xi = Matrix::zeros(x.rows(), xprime.cols() + self.config.e_dim);
-                        for r in 0..x.rows() {
-                            let row = xi.row_mut(r);
-                            row[..xprime.cols()].copy_from_slice(xprime.row(r));
-                            row[xprime.cols()..].copy_from_slice(e.row(i));
-                        }
-                        let z = phi.infer(store, &xi);
-                        z_row.copy_from_slice(z.row(0));
-                    }
-                });
-            }
-            (None, Some(pa)) => {
-                let mut h = xprime;
-                let mut blocks: Vec<Matrix> = Vec::with_capacity(pa.hidden.len());
-                for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
-                    h = layer.infer(store, &h);
-                    blocks.push(h.matmul(store.value(head)));
-                }
-                for i in 0..n_out {
-                    let zr = z_all.row_mut(i);
-                    let mut at = 0;
-                    for (block, &r) in blocks.iter().zip(&pa.regions) {
-                        for (k, v) in zr[at..at + r].iter_mut().enumerate() {
-                            *v = block.get(0, i * r + k).max(0.0);
-                        }
-                        at += r;
-                    }
-                }
-            }
-            _ => unreachable!("model has exactly one encoder"),
-        }
-        crate::metrics::record_encoder_time(t_enc.elapsed());
-        z_all
+        self.encode_prefix(store, x, self.config.n_out, par)
     }
 
     /// Per-distance predictions `ĉ_0 … ĉ_τ` decoded from a cached
@@ -588,17 +488,72 @@ impl CardNetModel {
         out
     }
 
-    /// The serial-order batch pipeline (no metrics recording; both the
+    /// Embeddings `z_0 … z_{count−1}` of a one-row query, stacked into a
+    /// `count × z_dim` matrix: one encoder pass, with the shared encoder's
+    /// per-distance Φ passes split across `par`'s workers (each embedding
+    /// row is computed by one worker, so the result is the same for any
+    /// `par`).
+    fn encode_prefix(
+        &self,
+        store: &ParamStore,
+        x: &Matrix,
+        count: usize,
+        par: Parallelism,
+    ) -> Matrix {
+        crate::metrics::record_encoder_pass();
+        let t_enc = Instant::now();
+        let z_dim = self.config.z_dim;
+        let worker = par.serial_worker();
+        let state = self.encoder_state(store, x, worker);
+        let workers = match &state {
+            EncoderState::Shared { phi, .. } => par.workers(count, count * phi.num_params()),
+            EncoderState::Accelerated { .. } => 1,
+        };
+        let mut z_all = Matrix::zeros(count, z_dim);
+        partition_rows(z_all.as_mut_slice(), z_dim, workers, |first_row, chunk| {
+            // `max(1)`: a zero-width embedding has nothing to fill.
+            for (i_local, z_row) in chunk.chunks_mut(z_dim.max(1)).enumerate() {
+                let z = self.embed(store, &state, first_row + i_local, worker);
+                z_row.copy_from_slice(z.row(0));
+            }
+        });
+        crate::metrics::record_encoder_time(t_enc.elapsed());
+        z_all
+    }
+
+    /// The serial-order batch pipeline (no counter recording; both the
     /// serial and the row-partitioned paths of
     /// [`CardNetModel::infer_dist_batch_with`] funnel through here).
     fn infer_dist_batch_rows(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
         let n_out = self.config.n_out;
-        // Encoder vs decoder wall time, accumulated across the interleaved
-        // per-distance loop and recorded once at the end (two clock reads
-        // per distance value — noise next to the matmuls they bracket).
-        let mut enc_ns = 0u64;
-        let mut dec_ns = 0u64;
+        let dec_w = store.value(self.dec_w);
+        let dec_b = store.value(self.dec_b);
+        // Encoder vs decoder wall time, accumulated across the per-distance
+        // loop and recorded once at the end (two clock reads per distance
+        // value — noise next to the matmuls they bracket).
         let t0 = Instant::now();
+        let state = self.encoder_state(store, x, par);
+        let mut enc = t0.elapsed();
+        let mut dec = Duration::ZERO;
+        let mut out = Matrix::zeros(x.rows(), n_out);
+        for i in 0..n_out {
+            let t_enc = Instant::now();
+            let z = self.embed(store, &state, i, par);
+            let t_dec = Instant::now();
+            enc += t_dec - t_enc;
+            for r in 0..x.rows() {
+                out.set(r, i, decode_row(z.row(r), dec_w, dec_b, i));
+            }
+            dec += t_dec.elapsed();
+        }
+        crate::metrics::record_encoder_time(enc);
+        crate::metrics::record_decoder_time(dec);
+        out
+    }
+
+    /// The per-query half of the encoder, run once per call: the VAE mean
+    /// latent, then — for CardNet-A — the hidden chain and its head blocks.
+    fn encoder_state(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> EncoderState<'_> {
         let xprime = match &self.vae {
             Some(vae) => {
                 let mu = vae.latent_mean_with(store, x, par);
@@ -606,70 +561,82 @@ impl CardNetModel {
             }
             None => x.clone(),
         };
-        let e = store.value(self.e);
-        let dec_w = store.value(self.dec_w);
-        let dec_b = store.value(self.dec_b);
-        let n = x.rows();
-        let mut out = Matrix::zeros(n, n_out);
-        enc_ns += t0.elapsed().as_nanos() as u64;
-
         match (&self.phi, &self.phi_a) {
-            (Some(phi), _) => {
-                for i in 0..n_out {
-                    let t_enc = Instant::now();
-                    let mut xi = Matrix::zeros(n, xprime.cols() + self.config.e_dim);
-                    for r in 0..n {
-                        let row = xi.row_mut(r);
-                        row[..xprime.cols()].copy_from_slice(xprime.row(r));
-                        row[xprime.cols()..].copy_from_slice(e.row(i));
-                    }
-                    let z = phi.infer_with(store, &xi, par);
-                    let t_dec = Instant::now();
-                    enc_ns += (t_dec - t_enc).as_nanos() as u64;
-                    for r in 0..n {
-                        let mut acc = dec_b.get(0, i);
-                        for (zv, wv) in z.row(r).iter().zip(dec_w.row(i)) {
-                            acc += zv * wv;
-                        }
-                        out.set(r, i, acc.max(0.0));
-                    }
-                    dec_ns += t_dec.elapsed().as_nanos() as u64;
-                }
-            }
+            (Some(phi), _) => EncoderState::Shared { phi, xprime },
             (None, Some(pa)) => {
-                let t_enc = Instant::now();
                 let mut h = xprime;
                 let mut blocks: Vec<Matrix> = Vec::with_capacity(pa.hidden.len());
                 for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
                     h = layer.infer_with(store, &h, par);
                     blocks.push(h.matmul_with(store.value(head), par));
                 }
-                enc_ns += t_enc.elapsed().as_nanos() as u64;
-                let t_dec = Instant::now();
-                for r in 0..n {
-                    for i in 0..n_out {
-                        let mut acc = dec_b.get(0, i);
-                        let mut at = 0;
-                        for (block, &rw) in blocks.iter().zip(&pa.regions) {
-                            for k in 0..rw {
-                                let zv = block.get(r, i * rw + k).max(0.0);
-                                acc += zv * dec_w.get(i, at + k);
-                            }
-                            at += rw;
-                        }
-                        out.set(r, i, acc.max(0.0));
-                    }
+                EncoderState::Accelerated {
+                    regions: &pa.regions,
+                    rows: x.rows(),
+                    blocks,
                 }
-                dec_ns += t_dec.elapsed().as_nanos() as u64;
             }
             _ => unreachable!("model has exactly one encoder"),
         }
-        crate::metrics::record_encoder_time(std::time::Duration::from_nanos(enc_ns));
-        crate::metrics::record_decoder_time(std::time::Duration::from_nanos(dec_ns));
-        out
+    }
+
+    /// Distance `i`'s embeddings `z_i` for every row of an encoded batch
+    /// (`rows × z_dim`): Φ([x′ ; e_i]) for the shared encoder, or region `j`
+    /// of every head block, ReLU'd and concatenated, for CardNet-A.
+    fn embed(
+        &self,
+        store: &ParamStore,
+        state: &EncoderState<'_>,
+        i: usize,
+        par: Parallelism,
+    ) -> Matrix {
+        match state {
+            EncoderState::Shared { phi, xprime } => {
+                let e = store.value(self.e);
+                let mut xi = Matrix::zeros(xprime.rows(), xprime.cols() + self.config.e_dim);
+                for r in 0..xprime.rows() {
+                    let row = xi.row_mut(r);
+                    row[..xprime.cols()].copy_from_slice(xprime.row(r));
+                    row[xprime.cols()..].copy_from_slice(e.row(i));
+                }
+                phi.infer_with(store, &xi, par)
+            }
+            EncoderState::Accelerated {
+                regions,
+                rows,
+                blocks,
+            } => {
+                let mut z = Matrix::zeros(*rows, self.config.z_dim);
+                for r in 0..*rows {
+                    let zr = z.row_mut(r);
+                    let mut at = 0;
+                    for (block, &w) in blocks.iter().zip(regions.iter()) {
+                        for (k, v) in zr[at..at + w].iter_mut().enumerate() {
+                            *v = block.get(r, i * w + k).max(0.0);
+                        }
+                        at += w;
+                    }
+                }
+                z
+            }
+        }
     }
 }
 
+/// What [`CardNetModel::encoder_state`] leaves for the per-distance step.
+enum EncoderState<'m> {
+    /// CardNet: `x′ = [x ; μ(x)]`; Φ still runs once per distance.
+    Shared { phi: &'m Mlp, xprime: Matrix },
+    /// CardNet-A: one `rows × (n_out · region_j)` head block per Φ′ layer,
+    /// holding region `j` of every embedding.
+    Accelerated {
+        regions: &'m [usize],
+        rows: usize,
+        blocks: Vec<Matrix>,
+    },
+}
+
+/// Decoder `g_i(z) = ReLU(w_iᵀ z + b_i)` — the one inference dot product.
 fn decode_row(z: &[f32], dec_w: &Matrix, dec_b: &Matrix, i: usize) -> f32 {
     let mut acc = dec_b.get(0, i);
     for (zv, wv) in z.iter().zip(dec_w.row(i)) {
@@ -881,8 +848,9 @@ mod tests {
                 let single = Matrix::from_vec(1, 12, x.row(r).to_vec());
                 let d = model.infer_dist(&store, &single, 4);
                 for (j, &v) in d.iter().enumerate() {
-                    assert!(
-                        (batch.get(r, j) - v).abs() < 1e-4,
+                    assert_eq!(
+                        batch.get(r, j).to_bits(),
+                        v.to_bits(),
                         "{enc:?} row {r} col {j}: {} vs {v}",
                         batch.get(r, j)
                     );

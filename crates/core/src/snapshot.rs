@@ -116,7 +116,17 @@ impl Snapshot {
         let shapes = self.model.param_shapes().map_err(SnapshotError::Invalid)?;
         self.params
             .check_shapes(&shapes)
-            .map_err(SnapshotError::Invalid)
+            .map_err(SnapshotError::Invalid)?;
+        // JSON `null` reads as NaN and `1e999` as ∞; the decoders' ReLU would
+        // turn either into a silently wrong estimate instead of an error.
+        let mut ids = self.params.ids();
+        match ids.find(|&id| !self.params.value(id).all_finite()) {
+            Some(id) => Err(SnapshotError::Invalid(format!(
+                "parameter `{}` holds a non-finite value",
+                self.params.name(id)
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Checks this snapshot against the *requesting* configuration — the
@@ -290,9 +300,13 @@ mod tests {
         // A weight buffer one value short, `cardnet.E` (9 decoders x 5 dims)
         // transposed, and the last parameter dropped: each used to panic in
         // a kernel instead of failing validation.
-        let mut truncated = json.clone();
-        let at = truncated.find("\"data\":[").expect("a buffer") + "\"data\":[".len();
-        truncated.replace_range(at..=at + truncated[at..].find(',').expect(","), "");
+        // `first_value(v)` rewrites the first weight value (and its comma).
+        let first_value = |v: &str| {
+            let at = json.find("\"data\":[").expect("a buffer") + "\"data\":[".len();
+            let end = at + json[at..].find(',').expect(",") + 1;
+            format!("{}{v}{}", &json[..at], &json[end..])
+        };
+        let truncated = first_value("");
         let swapped = json.replacen("\"rows\":9,\"cols\":5", "\"rows\":5,\"cols\":9", 1);
         let mut dropped = json.clone();
         let start = dropped.rfind(",{\"name\":").expect("several params");
@@ -300,7 +314,15 @@ mod tests {
             start..start + dropped[start..].find("}}]").expect("end") + 2,
             "",
         );
-        for bad in [truncated, swapped, dropped] {
+        // A weight value read as NaN (`null`) or ∞ (`1e999`) parses but
+        // must not load: the ReLU decoders would hide it in the estimate.
+        for bad in [
+            truncated,
+            swapped,
+            dropped,
+            first_value("null,"),
+            first_value("1e999,"),
+        ] {
             assert_ne!(bad, json, "corruption target not found");
             match Snapshot::from_json(&bad) {
                 Err(SnapshotError::Invalid(msg)) => assert!(msg.contains("parameter"), "{msg}"),

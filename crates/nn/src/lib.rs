@@ -6,8 +6,8 @@
 //!
 //! * [`matrix::Matrix`] — contiguous row-major `f32` matrices with the handful
 //!   of BLAS-like kernels the models need,
-//! * [`kernels`] — cache-blocked, explicit-SIMD (AVX2/AVX-512 with runtime
-//!   dispatch), and multi-threaded variants of those kernels, bit-identical
+//! * [`kernels`] — explicit-SIMD (AVX2/AVX-512 with runtime dispatch) and
+//!   multi-threaded variants of those kernels, bit-identical
 //!   to the scalar reference by construction, behind the
 //!   [`kernels::Parallelism`] + [`kernels::KernelBackend`] config,
 //! * [`tape::Tape`] — a dynamic reverse-mode autodiff tape over matrices,
@@ -20,7 +20,7 @@
 //! The engine is deliberately small: models in this workspace are a few
 //! hundred kilobytes of parameters, so clarity and determinism (seeded RNG,
 //! reproducible iteration order) win over raw throughput. The [`kernels`]
-//! layer recovers throughput without giving up determinism: blocked and
+//! layer recovers throughput without giving up determinism: SIMD and
 //! threaded products keep every output element's scalar accumulation order,
 //! so any thread count produces the same bits.
 

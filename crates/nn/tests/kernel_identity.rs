@@ -1,9 +1,9 @@
-//! Property tests pinning the kernel-layer contract: every backend tier
-//! (scalar row kernels, blocked micro-tiles, explicit AVX2/AVX-512 SIMD)
-//! and every threading variant of `matmul` / `t_matmul` / `matmul_t`
-//! produces outputs **bit-identical** to the scalar reference kernels —
-//! across rectangular and degenerate shapes (0×n, 1×1, non-square), across
-//! backends × 1/2/4 workers, and with non-finite inputs (NaN, ±∞, ±0.0) in
+//! Property tests pinning the kernel-layer contract: both backend tiers
+//! (scalar row kernels, explicit AVX2/AVX-512 SIMD tiles) and every
+//! threading variant of `matmul` / `t_matmul` / `matmul_t` produce outputs
+//! **bit-identical** to the scalar reference kernels — across rectangular
+//! and degenerate shapes (0×n, 1×1, non-square), across backends × 1/2/4
+//! workers, and with non-finite inputs (NaN, ±∞, ±0.0) in
 //! the mix. The one deliberate relaxation: NaN outputs match as a *class*
 //! (any NaN equals any NaN), because NaN sign/payload propagation is
 //! ISA-defined and differs across hosts.
@@ -66,11 +66,7 @@ fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
 /// (forced so tiny shapes still exercise the real partitioning code paths).
 fn variants() -> Vec<(String, Parallelism)> {
     let mut v = vec![("default/serial".to_string(), Parallelism::serial())];
-    for backend in [
-        KernelBackend::Scalar,
-        KernelBackend::Blocked,
-        KernelBackend::Simd,
-    ] {
+    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
         for t in [1, 2, 4] {
             v.push((
                 format!("{}/threads={t}", backend.label()),

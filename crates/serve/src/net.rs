@@ -566,7 +566,6 @@ fn handle_request(
             }
             Ok(None) => {
                 stats.record_shed_reject();
-                cardest_core::metrics::record_shed();
                 send_error(
                     wtx,
                     req.request_id,

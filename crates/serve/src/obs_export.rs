@@ -42,8 +42,6 @@ pub fn metrics_snapshot(stats: &StatsSnapshot, obs: &Observer) -> MetricsSnapsho
     m.push_counter("cardest_api_extractions_total", api.extractions);
     m.push_counter("cardest_api_encoder_passes_total", api.encoder_passes);
     m.push_counter("cardest_api_decoder_calls_total", api.decoder_calls);
-    m.push_counter("cardest_api_sheds_total", api.sheds);
-    m.push_counter("cardest_api_degraded_answers_total", api.degraded_answers);
     m.push_counter("cardest_api_encoder_ns_total", api.encoder_ns);
     m.push_counter("cardest_api_decoder_ns_total", api.decoder_ns);
 

@@ -183,11 +183,16 @@ mod tests {
             tau_max: est.extractor().tau_max(),
         };
         let json = snap.to_json().expect("serialize");
-        // A weight buffer one value short, `cardnet.E` (9x5) transposed, and
-        // the last parameter dropped: each parses, none may go live.
-        let mut truncated = json.clone();
-        let at = truncated.find("\"data\":[").expect("a buffer") + "\"data\":[".len();
-        truncated.replace_range(at..=at + truncated[at..].find(',').expect(","), "");
+        // A weight buffer one value short, `cardnet.E` (9x5) transposed, the
+        // last parameter dropped, and a weight read as NaN (`null`) or ∞
+        // (`1e999`): each parses, none may go live.
+        // `first_value(v)` rewrites the first weight value (and its comma).
+        let first_value = |v: &str| {
+            let at = json.find("\"data\":[").expect("a buffer") + "\"data\":[".len();
+            let end = at + json[at..].find(',').expect(",") + 1;
+            format!("{}{v}{}", &json[..at], &json[end..])
+        };
+        let truncated = first_value("");
         let swapped = json.replacen("\"rows\":9,\"cols\":5", "\"rows\":5,\"cols\":9", 1);
         let mut dropped = json.clone();
         let start = dropped.rfind(",{\"name\":").expect("several params");
@@ -197,7 +202,13 @@ mod tests {
         );
 
         let reg = ModelRegistry::new();
-        for bad in [truncated, swapped, dropped] {
+        for bad in [
+            truncated,
+            swapped,
+            dropped,
+            first_value("null,"),
+            first_value("1e999,"),
+        ] {
             assert_ne!(bad, json, "corruption target not found");
             let snap: Snapshot = serde_json::from_str(&bad).expect("still parses");
             let fx = build_extractor(&ds, 8, 1);

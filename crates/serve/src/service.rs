@@ -409,8 +409,6 @@ impl Service {
             CacheLookup::Bounds { lo, hi } if model.monotone => {
                 let bracket = Estimate::from_bracket(lo, hi);
                 self.stats.record_shed_bracket();
-                cardest_core::metrics::record_shed();
-                cardest_core::metrics::record_degraded_answer();
                 Ok(Some(Response {
                     estimate: bracket.value,
                     epoch: model.epoch,
@@ -694,8 +692,6 @@ fn serve_group(
                     // still buys a degraded answer: the bracket's midpoint
                     // with honest `[lo, hi]` bounds, no model time spent.
                     stats.record_shed_bracket();
-                    cardest_core::metrics::record_shed();
-                    cardest_core::metrics::record_degraded_answer();
                     respond(
                         job,
                         bracket.value,
@@ -718,7 +714,6 @@ fn serve_group(
                 // Nothing cached to degrade onto: refuse rather than spend
                 // model time past the caller's budget.
                 stats.record_shed_reject();
-                cardest_core::metrics::record_shed();
                 stats.record_latency(job.enqueued.elapsed());
                 let _ = job.resp.send(Err(ServeError::DeadlineExceeded));
             }
