@@ -474,6 +474,7 @@ fn cmd_serve_socket(flags: &Flags, ds: Dataset, est: CardNetEstimator) -> Result
         }
     }
     let snap = server.service().stats();
+    let latency = server.service().observer().total_histogram();
     if let Some(m) = metrics {
         m.shutdown();
     }
@@ -487,8 +488,8 @@ fn cmd_serve_socket(flags: &Flags, ds: Dataset, est: CardNetEstimator) -> Result
         snap.shed_bracket,
         snap.shed_rejected,
         snap.quota_rejected,
-        snap.latency_quantile(0.50),
-        snap.latency_quantile(0.99),
+        Duration::from_nanos(latency.quantile_ns(0.50)),
+        Duration::from_nanos(latency.quantile_ns(0.99)),
     );
     Ok(())
 }
@@ -588,7 +589,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     drain(&mut in_flight, &mut out, 0);
     drop(out);
-    let snap = service.stats();
+    let (snap, latency) = (service.stats(), service.observer().total_histogram());
     eprintln!(
         "served {} requests ({} errors, {parse_errors} malformed lines): \
          {} model batches (mean size {:.1}), \
@@ -599,8 +600,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         snap.mean_batch_size(),
         snap.hit_rate() * 100.0,
         snap.bound_hit_rate() * 100.0,
-        snap.latency_quantile(0.50),
-        snap.latency_quantile(0.99),
+        Duration::from_nanos(latency.quantile_ns(0.50)),
+        Duration::from_nanos(latency.quantile_ns(0.99)),
     );
     service.shutdown();
     Ok(())

@@ -33,7 +33,7 @@ use cardest_data::synth::{hm_imagenet, SynthConfig};
 use cardest_data::zipf::Zipf;
 use cardest_data::{Dataset, Record, Workload};
 use cardest_fx::build_extractor;
-use cardest_obs::Stage;
+use cardest_obs::{HistogramSnapshot, Stage};
 use cardest_serve::{
     Decoder, ErrorCode, Frame, ModelRegistry, NetClient, NetConfig, NetServer, Request,
     RequestFrame, ServeConfig, Service, StatsSnapshot, WireQuery, WireSource,
@@ -144,7 +144,7 @@ fn in_process_mode(scale: &Scale) -> ExitCode {
     for &workers in &[1usize, multi] {
         for &clients in &[1usize, 4, 16] {
             for &window in &windows {
-                let (elapsed, snap, served) = run_stream(
+                let (elapsed, snap, latency, served) = run_stream(
                     &registry,
                     &uniform,
                     ServeConfig {
@@ -173,8 +173,8 @@ fn in_process_mode(scale: &Scale) -> ExitCode {
                 println!(
                     "{workers:<8} {clients:<8} {:<10} {kreq_s:<8.1} {:<10} {:<10} {:.1}",
                     format!("{window:?}"),
-                    format!("{:?}", snap.latency_quantile(0.50)),
-                    format!("{:?}", snap.latency_quantile(0.99)),
+                    format!("{:?}", Duration::from_nanos(latency.quantile_ns(0.50))),
+                    format!("{:?}", Duration::from_nanos(latency.quantile_ns(0.99))),
                     snap.mean_batch_size(),
                 );
             }
@@ -201,7 +201,7 @@ fn in_process_mode(scale: &Scale) -> ExitCode {
     let sweep_identical = identical == compared;
 
     // ── 2. Zipf-skewed stream through the monotone cache ─────────────────
-    let (elapsed, snap, served) = run_stream(
+    let (elapsed, snap, _, served) = run_stream(
         &registry,
         &zipf,
         ServeConfig {
@@ -260,7 +260,7 @@ fn in_process_mode(scale: &Scale) -> ExitCode {
     // bounded-error mode, the trade the monotonicity guarantee makes
     // possible. (Bounds-answered τs are deliberately never cached as exact.)
     let tolerance = 0.10;
-    let (_, tol_snap, tol_served) = run_stream(
+    let (_, tol_snap, _, tol_served) = run_stream(
         &registry,
         &zipf,
         ServeConfig {
@@ -343,13 +343,14 @@ fn zipf_stream(ds: &cardest_data::Dataset, n: usize, seed: u64) -> Vec<StreamIte
 
 /// Plays `stream` against a fresh service with `clients` submitter threads
 /// (each keeping a bounded window of requests in flight), returning wall
-/// time, final stats, and the served estimates in stream order.
+/// time, final stats, the end-to-end latency histogram, and the served
+/// estimates in stream order.
 fn run_stream(
     registry: &Arc<ModelRegistry>,
     stream: &[StreamItem],
     config: ServeConfig,
     clients: usize,
-) -> (Duration, StatsSnapshot, Vec<f64>) {
+) -> (Duration, StatsSnapshot, HistogramSnapshot, Vec<f64>) {
     const IN_FLIGHT_PER_CLIENT: usize = 32;
     let service = Service::start(Arc::clone(registry), config);
     let clients = clients.max(1).min(stream.len().max(1));
@@ -395,9 +396,9 @@ fn run_stream(
         }
     });
     let elapsed = t0.elapsed();
-    let snap = service.stats();
+    let (snap, latency) = (service.stats(), service.observer().total_histogram());
     service.shutdown();
-    (elapsed, snap, served)
+    (elapsed, snap, latency, served)
 }
 
 fn recv_estimate(

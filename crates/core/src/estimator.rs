@@ -356,8 +356,7 @@ pub trait CardinalityEstimator: Send + Sync {
 
     /// Batch-first estimation: one [`Estimate`] per `(prepared[i],
     /// thetas[i])` pair. The default loops `curve`; batched models override
-    /// this to run their kernel once for the whole batch (the serving worker
-    /// pool feeds micro-batches straight through here).
+    /// this to run their kernel once for the whole batch.
     fn estimate_batch(&self, prepared: &[&PreparedQuery], thetas: &[f64]) -> Vec<Estimate> {
         assert_eq!(
             prepared.len(),
@@ -379,7 +378,8 @@ pub trait CardinalityEstimator: Send + Sync {
     /// Full threshold curves (θ = ∞, clamped by `h_thr` to each estimator's
     /// maximum step) for a batch of prepared queries. Default loops `curve`;
     /// batched models override to run one kernel for the whole batch — the
-    /// serving layer's curve-seeding mode feeds micro-batches through here.
+    /// serving worker feeds every micro-batch through here and reads each
+    /// request's answer at its own `threshold_step(θ)`.
     fn curve_batch(&self, prepared: &[&PreparedQuery]) -> Vec<CardinalityCurve> {
         prepared
             .iter()

@@ -56,7 +56,10 @@ pub fn load_jsonl(path: &Path) -> std::io::Result<Dataset> {
         .ok_or_else(|| std::io::Error::other("empty dataset file"))??;
     let header: DatasetHeader =
         serde_json::from_str(&header_line).map_err(std::io::Error::other)?;
-    let mut records = Vec::with_capacity(header.n_records);
+    // Not pre-sized from the header: `n_records` is untrusted (u64::MAX
+    // would panic, 1e11 abort on a terabyte allocation); the count check
+    // below validates it once the records are in.
+    let mut records = Vec::new();
     for line in lines {
         let line = line?;
         if line.trim().is_empty() {
@@ -140,6 +143,22 @@ mod tests {
         let lines: Vec<&str> = content.lines().collect();
         std::fs::write(&path, lines[..lines.len() - 2].join("\n")).expect("write");
         assert!(load_jsonl(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_record_count_is_an_error_not_an_allocation() {
+        let ds = jc_bms(SynthConfig::new(3, 6));
+        let path = tmp("hostile_count.jsonl");
+        save_jsonl(&ds, &path).expect("save");
+        let content = std::fs::read_to_string(&path).expect("read");
+        for count in [u64::MAX, 100_000_000_000] {
+            let hostile = content.replacen("\"n_records\":3", &format!("\"n_records\":{count}"), 1);
+            assert_ne!(hostile, content, "header field not found");
+            std::fs::write(&path, hostile).expect("write");
+            let err = load_jsonl(&path).expect_err("count disagrees with the file");
+            assert!(err.to_string().contains("header promises"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,10 +1,10 @@
 //! Log-bucketed latency histograms with lock-free concurrent recording.
 //!
 //! Bucket `b` covers `[2^b, 2^{b+1})` nanoseconds (bucket 0 additionally
-//! absorbs 0 ns); `ServiceStats` in `cardest-serve` records its end-to-end
-//! latency in one of these too, so quantiles from the two layers are
-//! directly comparable. 48 buckets cover ~78 hours, far beyond any
-//! plausible request latency.
+//! absorbs 0 ns). Every per-stage span and the serve layer's one end-to-end
+//! latency histogram ([`crate::Observer::total_histogram`]) use this type,
+//! so quantiles from every layer are directly comparable. 48 buckets cover
+//! ~78 hours, far beyond any plausible request latency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -184,6 +184,26 @@ mod tests {
         let s = LogHistogram::new().snapshot();
         assert_eq!(s.quantile_ns(0.99), 0);
         assert_eq!(s.mean_ns(), 0.0);
+    }
+
+    #[test]
+    fn latency_quantiles_are_ordered() {
+        let h = LogHistogram::new();
+        for us in [1u64, 10, 10, 10, 10, 100, 100, 1000, 10_000] {
+            h.record(std::time::Duration::from_micros(us));
+        }
+        // An absurd latency lands in (and saturates into) the top bucket.
+        h.record(std::time::Duration::from_secs(400_000)); // ~4.6 days > 2^47 ns
+        let s = h.snapshot();
+        let (p50, p99, p100) = (s.quantile_ns(0.50), s.quantile_ns(0.99), s.quantile_ns(1.0));
+        assert!(p50 <= p99, "{p50} > {p99}");
+        assert!(p99 <= p100, "{p99} > {p100}");
+        assert!((5_000..=20_000).contains(&p50), "{p50}");
+        // The overflow bucket reports its geometric midpoint — the same
+        // convention as every other bucket — not the bucket edge.
+        let top = HIST_BUCKETS - 1;
+        assert_eq!(p100, bucket_midpoint_ns(top));
+        assert!(p100 >= 1 << top && p100 < 1 << (top + 1));
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! Std-only building blocks threaded through the whole request path:
 //!
-//! - [`LogHistogram`] — lock-free log2-bucketed latency histograms, also
-//!   behind `ServiceStats`'s end-to-end latency so quantiles line up.
+//! - [`LogHistogram`] — lock-free log2-bucketed latency histograms, behind
+//!   every stage span and the serve layer's one end-to-end latency.
 //! - [`Stage`] / [`TraceBuilder`] / [`Trace`] — a zero-allocation span API
 //!   over a monotonic clock: jobs carry a fixed-size [`TraceBuilder`] and
 //!   each pipeline stage adds its elapsed time with one array store.
-//! - [`Observer`] — per-service aggregation point: always-on per-stage
+//! - [`Observer`] — per-service aggregation point: the end-to-end latency
+//!   histogram (every finished request, tracing on or off), per-stage
 //!   histograms, a bounded ring of sampled full traces, and a slow-query
 //!   log capturing every request over a configurable threshold with its
 //!   complete span breakdown plus epoch and answer source.

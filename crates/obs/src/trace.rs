@@ -167,8 +167,9 @@ impl Trace {
 /// Configuration for an [`Observer`].
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Master switch; when false, `finish_trace` still counts requests but
-    /// records nothing else (callers should also skip span timing).
+    /// Master switch; when false, `finish_trace` still feeds the end-to-end
+    /// histogram but records nothing else (callers should also skip span
+    /// timing).
     pub enabled: bool,
     /// Capture every n-th finished request as a full trace (1 = all,
     /// 0 = never sample; slow queries are always captured).
@@ -268,9 +269,19 @@ impl Observer {
         }
     }
 
-    /// Finish a request: feed every stage histogram and the end-to-end
-    /// histogram, then capture the full trace if sampled or slow.
+    /// End-to-end latency of a finished request, recorded whether or not
+    /// tracing is on — the service's one latency histogram.
+    // lint: hot-path
+    #[inline]
+    pub fn record_total(&self, total: Duration) {
+        self.total.record(total);
+    }
+
+    /// Finish a request: feed the end-to-end histogram and, when tracing is
+    /// on, every stage histogram, then capture the full trace if sampled or
+    /// slow.
     pub fn finish_trace(&self, builder: &TraceBuilder, total: Duration, epoch: u64, source: u8) {
+        self.record_total(total);
         if !self.enabled() {
             return;
         }
@@ -285,7 +296,6 @@ impl Observer {
                 self.stages[stage as usize].record_ns(ns);
             }
         }
-        self.total.record_ns(total_ns);
 
         // ordering: relaxed suffices — the ticket only drives the 1-in-N
         // sampling decision; atomicity gives uniqueness, and no other
@@ -451,7 +461,8 @@ mod tests {
         obs.finish_trace(&sample_builder(100), Duration::from_millis(500), 1, 0);
         obs.record_stage(Stage::Decode, Duration::from_micros(5));
         assert_eq!(obs.finished(), 0);
-        assert_eq!(obs.total_histogram().count, 0);
+        // Nothing but the end-to-end sample: that histogram is always on.
+        assert_eq!(obs.total_histogram().count, 1);
         assert_eq!(obs.stage_histogram(Stage::Decode).count, 0);
     }
 

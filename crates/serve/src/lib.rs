@@ -12,22 +12,25 @@
 //!   model without pausing in-flight queries, and a half-written model is
 //!   unrepresentable.
 //! * [`service::Service`] — a worker pool that drains the request queue into
-//!   **micro-batches** and feeds them through the estimator's batch-first
-//!   API ([`cardest_core::CardinalityEstimator::estimate_batch`]): queries
-//!   are `prepare`d once at ingress, the encoder runs once per batch, and
-//!   every served value stays bit-identical to the unbatched scalar path.
+//!   **micro-batches** and feeds them through the estimator's batched curve
+//!   kernel ([`cardest_core::CardinalityEstimator::curve_batch`]): queries
+//!   are `prepare`d once, a query repeated in a batch (at any θ) gets one
+//!   row, the encoder runs once per batch, and every served value stays
+//!   bit-identical to the unbatched scalar path. Every answer — computed,
+//!   cached, coalesced, shed — takes the same path and lands in the
+//!   service observer's one end-to-end latency histogram.
 //! * [`cache::EstimateCache`] — a sharded LRU cache keyed by
 //!   `(model epoch, query fingerprint, τ-bucket)` that exploits the
 //!   monotonicity guarantee: a lookup at τ bracketed by cached τ₁ ≤ τ ≤ τ₂
 //!   yields the *bounds* `[ĉ(τ₁), ĉ(τ₂)]` as a
 //!   [`cardest_core::Estimate`] — something no non-monotone estimator could
-//!   offer — and short-circuits when the bracket is pinned or tight. With
-//!   [`service::ServeConfig::cache_curve_points`] set, computed misses seed
-//!   the cache with whole threshold-curve points, turning repeat θ-sweeps
-//!   into exact hits.
-//! * [`stats::ServiceStats`] — lock-free counters: throughput, p50/p99
-//!   latency, cache hit/bound-hit rates, shed/quota counters, and a
-//!   batch-size histogram.
+//!   offer — and short-circuits when the bracket is pinned or tight. One
+//!   rule decides cache answers for the worker, expired deadlines and a
+//!   full queue alike. With [`service::ServeConfig::cache_curve_points`]
+//!   set, computed misses also seed evenly spaced threshold-curve points,
+//!   turning repeat θ-sweeps into exact hits.
+//! * [`stats::ServiceStats`] — lock-free counters: throughput, cache
+//!   hit/bound-hit rates, shed/quota counters, and a batch-size histogram.
 //! * [`wire`] + [`net`] — the network edge: a length-prefixed binary frame
 //!   codec (versioned header, request ids, τ, degraded flag) and a std-only
 //!   TCP front-end with per-connection reader/writer threads, bounded-queue

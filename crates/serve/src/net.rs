@@ -18,12 +18,14 @@
 //!   [`crate::ServiceStats`] quota table so rejects land in the same
 //!   snapshot as served traffic.
 //! * **Bounded queue** ([`NetConfig::queue_limit`]) — when the in-flight
-//!   gauge is at the limit, new requests never queue: they are answered
-//!   from the monotone cache at full fidelity (exact hit), **degraded**
-//!   from a cache bracket (`[lo, hi]`, [`crate::wire::FLAG_DEGRADED`] set), or
-//!   refused with [`ErrorCode::Overloaded`]. This is the paper's
-//!   monotonicity guarantee doing production work: an overloaded server
-//!   still answers with bounded error at zero model cost.
+//!   gauge is at the limit, new requests never queue: they get the same
+//!   cache decision as a job whose deadline expired
+//!   ([`Service::shed_answer`]) — full fidelity from an exact entry or a
+//!   pinned / within-tolerance bracket, **degraded** from any other cache
+//!   bracket (`[lo, hi]`, [`crate::wire::FLAG_DEGRADED`] set), or refused
+//!   with [`ErrorCode::Overloaded`]. This is the paper's monotonicity
+//!   guarantee doing production work: an overloaded server still answers
+//!   with bounded error at zero model cost.
 //! * **Deadlines** — a request's `deadline_us` (or
 //!   [`NetConfig::default_deadline`]) rides into the queue; a worker that
 //!   reaches an expired job sheds it the same way instead of computing.
@@ -42,7 +44,7 @@ use crate::obs_export;
 use crate::service::{EstimateSource, Request, Response, ServeError, Service};
 use crate::wire::{
     Decoder, ErrorCode, ErrorFrame, Frame, RequestFrame, ResponseFrame, StatsFrame, TracesFrame,
-    WireError, WireQuery, WireSource, WireTrace, MAX_WIRE_TRACES,
+    WireError, WireQuery, WireTrace, MAX_WIRE_TRACES,
 };
 use cardest_data::Record;
 use cardest_obs::{sole_lock, Stage, TraceBuilder};
@@ -675,30 +677,14 @@ fn writer_loop(mut stream: TcpStream, wrx: &Receiver<WriterMsg>, shared: &Arc<Sh
 /// `lo == hi == estimate`; bracket answers carry the monotone bounds, and
 /// shed brackets additionally raise the degraded flag.
 fn response_frame(request_id: u64, resp: &Response) -> ResponseFrame {
-    let (lo, hi, source, batch, degraded) = match resp.source {
-        EstimateSource::Computed { batch_size } => (
-            resp.estimate,
-            resp.estimate,
-            WireSource::Computed,
-            batch_size as u32,
-            false,
-        ),
-        EstimateSource::Coalesced => (
-            resp.estimate,
-            resp.estimate,
-            WireSource::Coalesced,
-            0,
-            false,
-        ),
-        EstimateSource::CacheExact => (
-            resp.estimate,
-            resp.estimate,
-            WireSource::CacheExact,
-            0,
-            false,
-        ),
-        EstimateSource::CacheBounds { lo, hi } => (lo, hi, WireSource::CacheBounds, 0, false),
-        EstimateSource::ShedBracket { lo, hi } => (lo, hi, WireSource::ShedBracket, 0, true),
+    let (lo, hi, batch) = match resp.source {
+        EstimateSource::Computed { batch_size } => {
+            (resp.estimate, resp.estimate, batch_size as u32)
+        }
+        EstimateSource::Coalesced | EstimateSource::CacheExact => (resp.estimate, resp.estimate, 0),
+        EstimateSource::CacheBounds { lo, hi } | EstimateSource::ShedBracket { lo, hi } => {
+            (lo, hi, 0)
+        }
     };
     ResponseFrame {
         request_id,
@@ -706,9 +692,9 @@ fn response_frame(request_id: u64, resp: &Response) -> ResponseFrame {
         estimate: resp.estimate,
         lo,
         hi,
-        source,
+        source: resp.source.wire(),
         batch,
-        degraded,
+        degraded: resp.source.is_degraded(),
     }
 }
 

@@ -1,6 +1,9 @@
 //! The request path: a worker pool that drains an mpsc queue into
-//! micro-batches, probes the monotone cache, and runs per-distance decoding
-//! **once per batch** instead of once per query.
+//! micro-batches, answers what the monotone cache can, and runs the batched
+//! curve kernel **once per batch** for the rest, one row per distinct query.
+//! Every answer takes one path: one cache decision (shared with the
+//! queue-full [`Service::shed_answer`]), one `curve_batch` call, one
+//! `respond` that feeds the observer's end-to-end histogram.
 //!
 //! Batching changes the arithmetic *layout*, not the arithmetic: the batched
 //! kernel ([`cardest_core::CardNetModel::infer_dist_batch`]) computes each
@@ -21,6 +24,7 @@
 use crate::cache::{CacheLookup, EstimateCache};
 use crate::registry::{ModelRegistry, RegistryReader, ServeModel};
 use crate::stats::{ServiceStats, StatsSnapshot};
+use crate::wire::WireSource;
 use cardest_core::{CardinalityEstimator, Estimate, PreparedQuery};
 use cardest_data::{BitVec, Record};
 use cardest_obs::{sole_lock, ObsConfig, Observer, Stage, TraceBuilder};
@@ -50,18 +54,18 @@ pub struct ServeConfig {
     /// circuit — those pin the true value exactly, so estimates stay
     /// bit-identical to the uncached path.
     pub bound_tolerance: f64,
-    /// When > 0, each computed miss runs the model's full threshold
-    /// **curve** (same per-row arithmetic, every decoder is evaluated either
-    /// way) and seeds the cache with this many evenly spaced curve points in
-    /// addition to the requested τ — so a later miss between two cached τ
-    /// values answers from the same model epoch's [`Estimate`] bounds, and a
-    /// θ-sweep over a repeated query turns into exact hits. `0` (default)
-    /// keeps the plain batched-kernel path.
+    /// Extra cache seeding per computed curve. Every computed miss runs the
+    /// model's full threshold curve (one batched kernel call, every decoder
+    /// evaluated) and caches each answered `(fingerprint, τ)`; when > 0 it
+    /// also caches this many evenly spaced points of the curve — so a later
+    /// miss between two cached τ values answers from the same model epoch's
+    /// [`Estimate`] bounds, and a θ-sweep over a repeated query turns into
+    /// exact hits. `0` (default) seeds nothing extra.
     pub cache_curve_points: usize,
     /// Per-stage tracing master switch. When off, workers skip every span
     /// clock read; the [`Observer`] still exists (so it can be re-enabled at
-    /// runtime via [`cardest_obs::Observer::set_enabled`]) but records
-    /// nothing.
+    /// runtime via [`cardest_obs::Observer::set_enabled`]) but records only
+    /// end-to-end latency.
     pub tracing: bool,
     /// Capture every n-th finished request as a full trace (1 = all,
     /// 0 = never; slow queries are always captured).
@@ -139,6 +143,18 @@ impl EstimateSource {
     /// Whether this answer is a degraded (load-shed) one.
     pub fn is_degraded(&self) -> bool {
         matches!(self, EstimateSource::ShedBracket { .. })
+    }
+
+    /// The wire code for this source: what socket clients decode, and what
+    /// a captured [`cardest_obs::Trace::source`] records.
+    pub(crate) fn wire(&self) -> WireSource {
+        match self {
+            EstimateSource::Computed { .. } => WireSource::Computed,
+            EstimateSource::Coalesced => WireSource::Coalesced,
+            EstimateSource::CacheExact => WireSource::CacheExact,
+            EstimateSource::CacheBounds { .. } => WireSource::CacheBounds,
+            EstimateSource::ShedBracket { .. } => WireSource::ShedBracket,
+        }
     }
 }
 
@@ -373,17 +389,12 @@ impl Service {
     }
 
     /// Admission-control fallback: answers `query`@`theta` from the cache
-    /// **without touching the request queue** — the saturation path.
-    ///
-    /// * An exact `(epoch, fp, τ)` entry answers at full fidelity
-    ///   ([`EstimateSource::CacheExact`]): saturation never degrades a
-    ///   request the cache can answer outright.
-    /// * A monotone bracket answers degraded
-    ///   ([`EstimateSource::ShedBracket`]) — the trade the monotonicity
-    ///   guarantee makes possible: a bounded-error estimate at zero model
-    ///   cost while the queue is full.
-    /// * `Ok(None)` means nothing was cached; the caller rejects with
-    ///   [`ServeError::Overloaded`].
+    /// **without touching the request queue** — the saturation path. It is
+    /// the worker's expired-deadline case (the one cache decision with
+    /// `shed` set): an exact entry or a pinned / tight bracket answers at full
+    /// fidelity, any other monotone bracket answers degraded
+    /// ([`EstimateSource::ShedBracket`]), and `Ok(None)` means nothing was
+    /// cached — the caller rejects with [`ServeError::Overloaded`].
     pub fn shed_answer(
         &self,
         model: &str,
@@ -393,30 +404,17 @@ impl Service {
         let Some(model) = self.registry.get(model) else {
             return Err(ServeError::UnknownModel(model.to_string()));
         };
-        let estimator = &model.estimator;
-        let prepared = estimator.prepare_shared(query);
-        let fp = fingerprint(prepared.bits().expect("CardNet prepare extracts"));
-        let tau = estimator.threshold_step(theta);
-        match self.cache.lookup(model.epoch, fp, tau) {
-            CacheLookup::Exact(value) => {
-                self.stats.record_exact_hit();
-                Ok(Some(Response {
-                    estimate: value,
-                    epoch: model.epoch,
-                    source: EstimateSource::CacheExact,
-                }))
-            }
-            CacheLookup::Bounds { lo, hi } if model.monotone => {
-                let bracket = Estimate::from_bracket(lo, hi);
-                self.stats.record_shed_bracket();
-                Ok(Some(Response {
-                    estimate: bracket.value,
-                    epoch: model.epoch,
-                    source: EstimateSource::ShedBracket { lo, hi },
-                }))
-            }
-            _ => Ok(None),
-        }
+        let (_, fp, tau) = cache_key(&model, query, theta);
+        let tolerance = self.config.bound_tolerance;
+        Ok(cache_answer(
+            &self.cache,
+            &self.stats,
+            &model,
+            fp,
+            tau,
+            tolerance,
+            true,
+        ))
     }
 
     pub fn config(&self) -> &ServeConfig {
@@ -466,6 +464,68 @@ fn fingerprint(bits: &BitVec) -> u64 {
     bits.len().hash(&mut h);
     bits.words().hash(&mut h);
     h.finish()
+}
+
+/// Prepares `query` once (`h_rec`, sharing the request's `Arc<Record>`) and
+/// derives its cache key. The estimate depends on θ only through
+/// τ = `threshold_step(θ)`, so τ is the cache's θ-bucket.
+fn cache_key(model: &ServeModel, query: &Arc<Record>, theta: f64) -> (PreparedQuery, u64, usize) {
+    let prepared = model.estimator.prepare_shared(query);
+    let fp = fingerprint(prepared.bits().expect("CardNet prepare extracts"));
+    (prepared, fp, model.estimator.threshold_step(theta))
+}
+
+/// The one cache decision, shared by the worker's probe and by every
+/// request refused a model run (an expired deadline, a full queue):
+///
+/// * an exact `(epoch, fp, τ)` entry answers ([`EstimateSource::CacheExact`]);
+/// * a monotone bracket that is pinned (`lo == hi`) or within `tolerance`
+///   answers ([`EstimateSource::CacheBounds`]). A pinned bracket squeezes
+///   the true value exactly — a monotone curve cannot dip between equal
+///   endpoints — so it stays bit-identical even at tolerance 0 and is
+///   cached as exact;
+/// * any other monotone bracket answers degraded
+///   ([`EstimateSource::ShedBracket`]) when `shed`, and is a miss otherwise;
+/// * `None` — nothing cached answers: compute, or refuse when `shed`.
+fn cache_answer(
+    cache: &EstimateCache,
+    stats: &ServiceStats,
+    model: &ServeModel,
+    fp: u64,
+    tau: usize,
+    tolerance: f64,
+    shed: bool,
+) -> Option<Response> {
+    let epoch = model.epoch;
+    let (estimate, source) = match cache.lookup(epoch, fp, tau) {
+        CacheLookup::Exact(value) => {
+            stats.record_exact_hit();
+            (value, EstimateSource::CacheExact)
+        }
+        CacheLookup::Bounds { lo, hi } if model.monotone => {
+            let bracket = Estimate::from_bracket(lo, hi);
+            if bracket.is_pinned() {
+                cache.insert(epoch, fp, tau, bracket.value);
+            }
+            if bracket.is_pinned() || bracket.within_tolerance(tolerance) {
+                stats.record_bound_hit();
+                (bracket.value, EstimateSource::CacheBounds { lo, hi })
+            } else if shed {
+                // Monotonicity still buys a degraded answer: the bracket's
+                // point value with honest `[lo, hi]` bounds, no model time.
+                stats.record_shed_bracket();
+                (bracket.value, EstimateSource::ShedBracket { lo, hi })
+            } else {
+                return None;
+            }
+        }
+        _ => return None,
+    };
+    Some(Response {
+        estimate,
+        epoch,
+        source,
+    })
 }
 
 /// How often an idle worker wakes to check the stop flag.
@@ -591,8 +651,7 @@ fn process_batch(
             None => {
                 for job in jobs {
                     stats.record_error();
-                    stats.record_latency(job.enqueued.elapsed());
-                    let _ = job.resp.send(Err(ServeError::UnknownModel(name.clone())));
+                    respond(job, Err(ServeError::UnknownModel(name.clone())), obs);
                 }
             }
         }
@@ -630,9 +689,6 @@ fn serve_group(
     // — so per-stage sums keep covering end-to-end latency as batches grow.
     let t_group = traced.then(Instant::now);
     for mut job in jobs {
-        // `prepare_shared` runs `h_rec` once and keeps the request's
-        // `Arc<Record>` without copying the payload; the estimate depends on
-        // θ only through τ = threshold_step(θ), so τ is the cache's θ-bucket.
         let t_prep = traced.then(Instant::now);
         if let (Some(t0), Some(t1)) = (t_group, t_prep) {
             // For jobs answered inside this loop (cache hits, sheds) this is
@@ -641,15 +697,12 @@ fn serve_group(
             job.trace
                 .add(Stage::BatchWindow, t1.saturating_duration_since(t0));
         }
-        let prepared = estimator.prepare_shared(&job.req.query);
-        let fp = fingerprint(prepared.bits().expect("CardNet prepare extracts"));
-        let tau = estimator.threshold_step(job.req.theta);
+        let (prepared, fp, tau) = cache_key(model, &job.req.query, job.req.theta);
         if let Some(t) = t_prep {
             job.trace.add(Stage::Prepare, t.elapsed());
         }
         // A job queued past its deadline is load-shed: a cache answer is
-        // still free (exact hits below cost nothing), but it will not be
-        // granted a model run.
+        // still free, but it will not be granted a model run.
         let expired = match job.deadline {
             // timing: admission-control check against the enqueue-relative
             // deadline, not a latency measurement.
@@ -657,67 +710,19 @@ fn serve_group(
             None => false,
         };
         let t_probe = traced.then(Instant::now);
-        let lookup = cache.lookup(epoch, fp, tau);
+        let answer = cache_answer(cache, stats, model, fp, tau, cfg.bound_tolerance, expired);
         if let Some(t) = t_probe {
             job.trace.add(Stage::CacheProbe, t.elapsed());
         }
-        match lookup {
-            CacheLookup::Exact(value) => {
-                stats.record_exact_hit();
-                respond(job, value, epoch, EstimateSource::CacheExact, stats, obs);
-            }
-            CacheLookup::Bounds { lo, hi } if model.monotone => {
-                // Two cached curve points bracket the miss; `Estimate` owns
-                // the pin/tolerance math. A pinned bracket (`lo == hi`)
-                // squeezes the true value exactly — monotone curves cannot
-                // dip between equal endpoints — so the short-circuit stays
-                // bit-identical even at tolerance 0, and the pinned value is
-                // safe to cache as exact.
-                let bracket = Estimate::from_bracket(lo, hi);
-                if bracket.is_pinned() {
-                    cache.insert(epoch, fp, tau, bracket.value);
-                }
-                if bracket.is_pinned() || bracket.within_tolerance(cfg.bound_tolerance) {
-                    stats.record_bound_hit();
-                    respond(
-                        job,
-                        bracket.value,
-                        epoch,
-                        EstimateSource::CacheBounds { lo, hi },
-                        stats,
-                        obs,
-                    );
-                } else if expired {
-                    // The deadline passed while queued, but monotonicity
-                    // still buys a degraded answer: the bracket's midpoint
-                    // with honest `[lo, hi]` bounds, no model time spent.
-                    stats.record_shed_bracket();
-                    respond(
-                        job,
-                        bracket.value,
-                        epoch,
-                        EstimateSource::ShedBracket { lo, hi },
-                        stats,
-                        obs,
-                    );
-                } else {
-                    pending.push(Pending {
-                        ready: traced.then(Instant::now),
-                        job,
-                        fp,
-                        tau,
-                        prepared,
-                    });
-                }
-            }
-            _ if expired => {
+        match answer {
+            Some(resp) => respond(job, Ok(resp), obs),
+            None if expired => {
                 // Nothing cached to degrade onto: refuse rather than spend
                 // model time past the caller's budget.
                 stats.record_shed_reject();
-                stats.record_latency(job.enqueued.elapsed());
-                let _ = job.resp.send(Err(ServeError::DeadlineExceeded));
+                respond(job, Err(ServeError::DeadlineExceeded), obs);
             }
-            _ => pending.push(Pending {
+            None => pending.push(Pending {
                 ready: traced.then(Instant::now),
                 job,
                 fp,
@@ -731,20 +736,17 @@ fn serve_group(
         return;
     }
 
-    // Coalesce duplicates: a Zipf-hot query repeated within one micro-batch
-    // gets one model row, not many. In curve mode one computed curve answers
-    // *every* τ of a query, so rows dedup on the fingerprint alone — a
-    // same-query θ-sweep landing in one batch costs one model run. (Like the
-    // cache, this trusts the 64-bit fingerprint; a SipHash collision between
+    // Coalesce on the fingerprint: one computed curve answers *every* τ of
+    // a query, so a Zipf-hot query repeated within one micro-batch — at the
+    // same θ or across a θ-sweep — costs one model row. (Like the cache,
+    // this trusts the 64-bit fingerprint; a SipHash collision between
     // distinct live queries is vanishingly unlikely and would only alias two
     // cache entries.)
-    let curve_mode = cfg.cache_curve_points > 0;
-    let mut seen: std::collections::HashMap<(u64, usize), usize> = std::collections::HashMap::new();
+    let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
     let mut unique: Vec<usize> = Vec::new(); // pending indices, one per row
     let mut row_of: Vec<usize> = Vec::with_capacity(pending.len());
     for (i, p) in pending.iter().enumerate() {
-        let key = (p.fp, if curve_mode { 0 } else { p.tau });
-        let row = *seen.entry(key).or_insert_with(|| {
+        let row = *seen.entry(p.fp).or_insert_with(|| {
             unique.push(i);
             unique.len() - 1
         });
@@ -752,10 +754,6 @@ fn serve_group(
     }
 
     let batch_size = unique.len();
-    enum RowResult {
-        Scalar(f64),
-        Curve(cardest_core::CardinalityCurve),
-    }
     // Model span: the whole batched kernel call's wall clock, attributed to
     // every job it answered (the batch is the unit of compute — each job's
     // latency really did include the full call). The encoder/decoder
@@ -776,35 +774,18 @@ fn serve_group(
             }
         }
     }
-    let rows: Vec<RowResult> = if curve_mode {
-        // Curve path: the batched curve kernel (one encoder pass for the
-        // whole micro-batch — every decoder column comes out of it anyway)
-        // yields each unique query's full curve; seed the cache with evenly
-        // spaced curve points so future misses at other τ values answer
-        // from curve-derived brackets or exact hits.
-        let refs: Vec<&PreparedQuery> = unique.iter().map(|&i| &pending[i].prepared).collect();
-        estimator
-            .curve_batch(&refs)
-            .into_iter()
-            .zip(&unique)
-            .map(|(curve, &i)| {
-                seed_curve_points(cache, epoch, pending[i].fp, &curve, cfg.cache_curve_points);
-                RowResult::Curve(curve)
-            })
-            .collect()
-    } else {
-        // Batch-first path: the estimator's own batched kernel runs the
-        // encoder once for the whole micro-batch. Per-row arithmetic mirrors
-        // the scalar path exactly (the API's bit-identity contract), which
-        // is what makes the cache sound — a cached value *is* the value.
-        let refs: Vec<&PreparedQuery> = unique.iter().map(|&i| &pending[i].prepared).collect();
-        let thetas: Vec<f64> = unique.iter().map(|&i| pending[i].job.req.theta).collect();
-        estimator
-            .estimate_batch(&refs, &thetas)
-            .into_iter()
-            .map(|e| RowResult::Scalar(e.value))
-            .collect()
-    };
+    // One batched kernel run for the micro-batch: every decoder column
+    // comes out of the encoder pass anyway, and each row's curve carries the
+    // scalar path's exact per-row arithmetic (the API's bit-identity
+    // contract), which is what makes the cache sound — a cached value *is*
+    // the value.
+    let refs: Vec<&PreparedQuery> = unique.iter().map(|&i| &pending[i].prepared).collect();
+    let curves = estimator.curve_batch(&refs);
+    if cfg.cache_curve_points > 0 {
+        for (curve, &i) in curves.iter().zip(&unique) {
+            seed_curve_points(cache, epoch, pending[i].fp, curve, cfg.cache_curve_points);
+        }
+    }
     let (model_ns, enc_ns, dec_ns) = match (t_model, &meter_before) {
         (Some(t), Some(before)) => {
             let delta = cardest_core::metrics::ApiCounters::snapshot().delta_since(before);
@@ -819,21 +800,14 @@ fn serve_group(
     let t_distribute = traced.then(Instant::now);
     stats.record_batch(batch_size);
     for ((i, mut p), row) in pending.into_iter().enumerate().zip(row_of) {
-        let estimate = match &rows[row] {
-            RowResult::Scalar(v) => *v,
-            // Exact curve value at this request's own τ, whichever row
-            // computed the curve.
-            RowResult::Curve(curve) => curve.value_at(p.tau),
-        };
+        // The exact curve value at this request's own τ, whichever request
+        // computed the curve; every answered `(fp, τ)` becomes an exact
+        // entry.
+        let estimate = curves[row].value_at(p.tau);
+        cache.insert(epoch, p.fp, p.tau, estimate);
         let source = if unique[row] == i {
-            cache.insert(epoch, p.fp, p.tau, estimate);
             EstimateSource::Computed { batch_size }
         } else {
-            if curve_mode {
-                // A coalesced τ still gets its exact entry: the value came
-                // from the same curve at zero extra model cost.
-                cache.insert(epoch, p.fp, p.tau, estimate);
-            }
             stats.record_coalesced();
             EstimateSource::Coalesced
         };
@@ -847,7 +821,12 @@ fn serve_group(
                 p.job.trace.add(Stage::BatchWindow, t.elapsed());
             }
         }
-        respond(p.job, estimate, epoch, source, stats, obs);
+        let resp = Response {
+            estimate,
+            epoch,
+            source,
+        };
+        respond(p.job, Ok(resp), obs);
     }
 }
 
@@ -873,46 +852,27 @@ fn seed_curve_points(
     }
 }
 
-/// The [`Trace::source`] code for an answer: the wire `WireSource`
-/// discriminant, so socket clients and trace readers decode sources the
-/// same way.
-fn source_code(source: &EstimateSource) -> u8 {
-    match source {
-        EstimateSource::Computed { .. } => 0,
-        EstimateSource::Coalesced => 1,
-        EstimateSource::CacheExact => 2,
-        EstimateSource::CacheBounds { .. } => 3,
-        EstimateSource::ShedBracket { .. } => 4,
-    }
-}
-
-fn respond(
-    job: Job,
-    estimate: f64,
-    epoch: u64,
-    source: EstimateSource,
-    stats: &ServiceStats,
-    obs: &Observer,
-) {
+/// Sends a job's one result. Every finished job lands in the observer's
+/// end-to-end histogram; an answered one also finishes its trace, tagged
+/// with the answer's wire source code.
+fn respond(job: Job, result: Result<Response, ServeError>, obs: &Observer) {
     let total = job.enqueued.elapsed();
-    stats.record_latency(total);
-    if obs.enabled() {
-        // A trace seeded by the ingress layer carries spans measured before
-        // the job was enqueued; fold them into the end-to-end total so
-        // stage coverage is measured against the full wire path.
-        let pre_queue_ns = job.trace.get_ns(Stage::Decode) + job.trace.get_ns(Stage::Admission);
-        obs.finish_trace(
-            &job.trace,
-            total + Duration::from_nanos(pre_queue_ns),
-            epoch,
-            source_code(&source),
-        );
+    match &result {
+        Ok(resp) => {
+            // A trace seeded by the ingress layer carries spans measured
+            // before the job was enqueued; fold them into the end-to-end
+            // total so stage coverage is measured against the full wire path.
+            let pre_queue_ns = job.trace.get_ns(Stage::Decode) + job.trace.get_ns(Stage::Admission);
+            obs.finish_trace(
+                &job.trace,
+                total + Duration::from_nanos(pre_queue_ns),
+                resp.epoch,
+                resp.source.wire() as u8,
+            );
+        }
+        Err(_) => obs.record_total(total),
     }
-    let _ = job.resp.send(Ok(Response {
-        estimate,
-        epoch,
-        source,
-    }));
+    let _ = job.resp.send(result);
 }
 
 #[cfg(test)]
@@ -1076,53 +1036,57 @@ mod tests {
 
         let registry = Arc::new(ModelRegistry::new());
         registry.publish("m", est);
-        let service = Service::start(
-            registry,
-            ServeConfig {
-                workers: 1,
-                batch_max: 64,
-                batch_window: Duration::from_millis(200),
-                cache_capacity: 4096,
-                bound_tolerance: 0.0,
-                cache_curve_points: 2,
-                ..ServeConfig::default()
-            },
-        );
-        // A whole θ-sweep of one query submitted before draining: every τ is
-        // distinct, but one curve answers them all — expect exactly one
-        // model row and τ_max − 1 coalesced responses.
-        let receivers: Vec<_> = (0..tau_max)
-            .map(|t| {
-                service.submit(Request {
-                    model: "m".into(),
-                    query: Arc::clone(&q),
-                    theta: theta_of(t),
+        // Coalescing is on the fingerprint whether or not extra curve points
+        // are seeded: `cache_curve_points` only adds cache entries.
+        for cache_curve_points in [0, 2] {
+            let service = Service::start(
+                Arc::clone(&registry),
+                ServeConfig {
+                    workers: 1,
+                    batch_max: 64,
+                    batch_window: Duration::from_millis(200),
+                    cache_capacity: 4096,
+                    bound_tolerance: 0.0,
+                    cache_curve_points,
+                    ..ServeConfig::default()
+                },
+            );
+            // A whole θ-sweep of one query submitted before draining: every
+            // τ is distinct, but one curve answers them all — expect exactly
+            // one model row and τ_max − 1 coalesced responses.
+            let receivers: Vec<_> = (0..tau_max)
+                .map(|t| {
+                    service.submit(Request {
+                        model: "m".into(),
+                        query: Arc::clone(&q),
+                        theta: theta_of(t),
+                    })
                 })
-            })
-            .collect();
-        let responses: Vec<Response> = receivers
-            .into_iter()
-            .map(|rx| rx.recv().expect("worker alive").expect("served"))
-            .collect();
-        for (t, (resp, want)) in responses.iter().zip(&reference).enumerate() {
-            assert_eq!(resp.estimate.to_bits(), want.to_bits(), "τ={t}");
+                .collect();
+            let responses: Vec<Response> = receivers
+                .into_iter()
+                .map(|rx| rx.recv().expect("worker alive").expect("served"))
+                .collect();
+            for (t, (resp, want)) in responses.iter().zip(&reference).enumerate() {
+                assert_eq!(resp.estimate.to_bits(), want.to_bits(), "τ={t}");
+            }
+            let computed = responses
+                .iter()
+                .filter(|r| matches!(r.source, EstimateSource::Computed { .. }))
+                .count();
+            let coalesced = responses
+                .iter()
+                .filter(|r| r.source == EstimateSource::Coalesced)
+                .count();
+            assert_eq!((computed, coalesced), (1, tau_max - 1));
+            let snap = service.stats();
+            assert_eq!(snap.batches, 1);
+            assert!(
+                (snap.mean_batch_size() - 1.0).abs() < 1e-9,
+                "one unique curve row"
+            );
+            service.shutdown();
         }
-        let computed = responses
-            .iter()
-            .filter(|r| matches!(r.source, EstimateSource::Computed { .. }))
-            .count();
-        let coalesced = responses
-            .iter()
-            .filter(|r| r.source == EstimateSource::Coalesced)
-            .count();
-        assert_eq!((computed, coalesced), (1, tau_max - 1));
-        let snap = service.stats();
-        assert_eq!(snap.batches, 1);
-        assert!(
-            (snap.mean_batch_size() - 1.0).abs() < 1e-9,
-            "one unique curve row"
-        );
-        service.shutdown();
     }
 
     #[test]
@@ -1257,6 +1221,44 @@ mod tests {
             service.shed_answer("ghost", &q, 1.0),
             Err(ServeError::UnknownModel(_))
         ));
+        service.shutdown();
+    }
+
+    #[test]
+    fn queue_full_shed_on_a_pinned_bracket_is_a_full_fidelity_answer() {
+        let (ds, est) = tiny_setup(34);
+        let fx_tau_max = est.extractor().tau_max();
+        let theta_of = {
+            let theta_max = ds.theta_max;
+            move |tau: usize| theta_max * (tau as f64 + 0.5) / (fx_tau_max as f64)
+        };
+        let registry = Arc::new(ModelRegistry::new());
+        let epoch = registry.publish("m", est);
+        let service = Service::start(Arc::clone(&registry), ServeConfig::default());
+        let q = Arc::new(ds.records[6].clone());
+        let model = registry.get("m").expect("published");
+        let (_, fp, tau) = cache_key(&model, &q, theta_of(3));
+        assert_eq!(tau, 3);
+        // Equal endpoints on either side pin τ = 3 exactly: the same case the
+        // worker answers as `CacheBounds`, so saturation must not degrade it.
+        service.cache().insert(epoch, fp, 1, 42.0);
+        service.cache().insert(epoch, fp, 6, 42.0);
+        let pinned = service
+            .shed_answer("m", &q, theta_of(3))
+            .expect("model known")
+            .expect("bracketed");
+        assert_eq!(
+            pinned.source,
+            EstimateSource::CacheBounds { lo: 42.0, hi: 42.0 }
+        );
+        assert!(!pinned.source.is_degraded());
+        assert_eq!(pinned.estimate, 42.0);
+        // ...and, like the worker, it caches the pinned value as exact.
+        let again = service.shed_answer("m", &q, theta_of(3)).unwrap().unwrap();
+        assert_eq!(again.source, EstimateSource::CacheExact);
+        let snap = service.stats();
+        assert_eq!((snap.bound_hits, snap.exact_hits), (1, 1));
+        assert_eq!(snap.shed_bracket, 0);
         service.shutdown();
     }
 

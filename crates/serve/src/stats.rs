@@ -1,6 +1,7 @@
 //! Lock-free service counters: request totals, cache effectiveness, load
-//! shedding, the micro-batch size distribution, and a log-bucketed latency
-//! histogram from which p50/p99 are read without ever locking the hot path.
+//! shedding and the micro-batch size distribution. End-to-end latency lives
+//! in one place, the service observer's
+//! [`cardest_obs::Observer::total_histogram`].
 //!
 //! The one exception to "lock-free" is the per-client quota table: client
 //! identities arrive at the network edge, so the table is touched once per
@@ -12,9 +13,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
-use cardest_obs::{sole_lock, HistogramSnapshot, LogHistogram};
+use cardest_obs::sole_lock;
 
 /// Batch-size buckets: bucket `b` holds batches of `2^b ..= 2^{b+1} - 1`
 /// requests (bucket 0 = singletons).
@@ -55,8 +55,6 @@ pub struct ServiceStats {
     /// Sum of micro-batch sizes (mean batch = this / batches).
     batch_size_sum: AtomicU64,
     batch_hist: [AtomicU64; BATCH_BUCKETS],
-    /// End-to-end latency of every answered request, always recorded.
-    latency_hist: LogHistogram,
     /// Bytes consumed off sockets as complete wire frames (all connections).
     ingress_bytes: AtomicU64,
     /// Wire frames decoded off sockets (all connections).
@@ -100,7 +98,6 @@ impl ServiceStats {
             batches: AtomicU64::new(0),
             batch_size_sum: AtomicU64::new(0),
             batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_hist: LogHistogram::new(),
             ingress_bytes: AtomicU64::new(0),
             ingress_frames: AtomicU64::new(0),
             clients: Mutex::new(HashMap::new()),
@@ -233,11 +230,6 @@ impl ServiceStats {
         self.batch_hist[bucket.min(BATCH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// End-to-end latency of one answered request (enqueue → response sent).
-    pub fn record_latency(&self, latency: Duration) {
-        self.latency_hist.record(latency);
-    }
-
     /// A consistent-enough copy for reporting (individual counters are read
     /// relaxed; exactness across counters is not needed for monitoring).
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -268,7 +260,6 @@ impl ServiceStats {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            latency_hist: self.latency_hist.snapshot(),
             ingress_bytes: self.ingress_bytes.load(Ordering::Relaxed),
             ingress_frames: self.ingress_frames.load(Ordering::Relaxed),
         }
@@ -296,8 +287,6 @@ pub struct StatsSnapshot {
     pub batch_size_sum: u64,
     /// Count of micro-batches whose size fell in `[2^b, 2^{b+1})`.
     pub batch_hist: Vec<u64>,
-    /// End-to-end request latencies, log2-bucketed.
-    pub latency_hist: HistogramSnapshot,
     /// Bytes consumed off sockets as complete wire frames.
     pub ingress_bytes: u64,
     /// Wire frames decoded off sockets.
@@ -350,12 +339,6 @@ impl StatsSnapshot {
             return 0.0;
         }
         self.batch_size_sum as f64 / self.batches as f64
-    }
-
-    /// Approximate latency quantile (`q` in `[0, 1]`): the geometric midpoint
-    /// of the log2 bucket holding the q-th request, within √2 of the truth.
-    pub fn latency_quantile(&self, q: f64) -> Duration {
-        Duration::from_nanos(self.latency_hist.quantile_ns(q))
     }
 
     /// `(size-range label, count)` rows for the non-empty batch buckets.
@@ -483,40 +466,5 @@ mod tests {
         stats.client_end(3);
         assert!(stats.client_begin(u64::MAX, 0));
         assert_eq!(stats.snapshot().clients.len(), MAX_TRACKED_CLIENTS);
-    }
-
-    #[test]
-    fn latency_quantiles_are_ordered() {
-        let stats = ServiceStats::new();
-        for us in [1u64, 10, 10, 10, 10, 100, 100, 1000, 10_000] {
-            stats.record_latency(Duration::from_micros(us));
-        }
-        // An absurd latency lands in (and saturates into) the top bucket.
-        let huge = Duration::from_secs(400_000); // ~4.6 days > 2^47 ns
-        stats.record_latency(huge);
-        let snap = stats.snapshot();
-        let p50 = snap.latency_quantile(0.50);
-        let p99 = snap.latency_quantile(0.99);
-        let p100 = snap.latency_quantile(1.0);
-        assert!(p50 <= p99, "{p50:?} > {p99:?}");
-        assert!(p99 <= p100, "{p99:?} > {p100:?}");
-        assert!(p50 >= Duration::from_micros(5) && p50 <= Duration::from_micros(20));
-        // The overflow bucket reports its geometric midpoint — the same
-        // convention as every other bucket — not the bucket edge.
-        let top = cardest_obs::HIST_BUCKETS - 1;
-        let expected = Duration::from_nanos(cardest_obs::bucket_midpoint_ns(top));
-        assert_eq!(p100, expected);
-        assert!(p100 >= Duration::from_nanos(1 << top));
-        assert!(p100 < Duration::from_nanos(1 << (top + 1)));
-        assert_eq!(
-            StatsSnapshot::default_zero().latency_quantile(0.5),
-            Duration::ZERO
-        );
-    }
-
-    impl StatsSnapshot {
-        fn default_zero() -> StatsSnapshot {
-            ServiceStats::new().snapshot()
-        }
     }
 }

@@ -1,12 +1,13 @@
-//! Property test: [`cardest_serve::ServiceStats`] latency quantiles are
-//! thread-safe — many threads hammering `record_latency` concurrently
-//! produce *exactly* the histogram that serial recording produces (the
-//! buckets are relaxed atomic counters; interleaving must not lose or
-//! misfile a sample), and the quantiles read off that histogram land within
-//! one log2 bucket of the true order statistic.
+//! Property test: the service's end-to-end latency quantiles (an
+//! [`cardest_obs::LogHistogram`], the one behind
+//! `Observer::total_histogram`) are thread-safe — many worker threads
+//! recording concurrently produce *exactly* the histogram that serial
+//! recording produces (the buckets are relaxed atomic counters;
+//! interleaving must not lose or misfile a sample), and the quantiles read
+//! off that histogram land within one log2 bucket of the true order
+//! statistic.
 
-use cardest_obs::{bucket_midpoint_ns, bucket_of};
-use cardest_serve::ServiceStats;
+use cardest_obs::{bucket_midpoint_ns, bucket_of, LogHistogram};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,17 +28,17 @@ proptest! {
         threads in 2usize..5,
     ) {
         // Serial reference: one thread, same samples, same order.
-        let serial = ServiceStats::new();
+        let serial = LogHistogram::new();
         for &ns in &latencies {
-            serial.record_latency(Duration::from_nanos(ns));
+            serial.record(Duration::from_nanos(ns));
         }
         let serial_snap = serial.snapshot();
 
         // Concurrent run: samples partitioned round-robin over threads.
-        let concurrent = Arc::new(ServiceStats::new());
+        let concurrent = Arc::new(LogHistogram::new());
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let stats = Arc::clone(&concurrent);
+                let hist = Arc::clone(&concurrent);
                 let mine: Vec<u64> = latencies
                     .iter()
                     .copied()
@@ -46,7 +47,7 @@ proptest! {
                     .collect();
                 scope.spawn(move || {
                     for ns in mine {
-                        stats.record_latency(Duration::from_nanos(ns));
+                        hist.record(Duration::from_nanos(ns));
                     }
                 });
             }
@@ -54,15 +55,15 @@ proptest! {
         let conc_snap = concurrent.snapshot();
 
         // Exactness: no sample lost, none misfiled, whatever the schedule.
-        prop_assert_eq!(&conc_snap.latency_hist, &serial_snap.latency_hist);
+        prop_assert_eq!(&conc_snap, &serial_snap);
 
         // Quantiles agree with the serial read exactly (same histogram, same
         // deterministic walk)...
         let mut sorted = latencies.clone();
         sorted.sort_unstable();
         for &q in &[0.50, 0.99] {
-            let conc_q = conc_snap.latency_quantile(q).as_nanos() as u64;
-            let serial_q = serial_snap.latency_quantile(q).as_nanos() as u64;
+            let conc_q = conc_snap.quantile_ns(q);
+            let serial_q = serial_snap.quantile_ns(q);
             prop_assert_eq!(conc_q, serial_q, "q={}", q);
             // ...report a bucket's geometric midpoint, and land within one
             // bucket of the true order statistic (the histogram's resolution

@@ -14,6 +14,7 @@ use cardest_data::{Dataset, Workload};
 use cardest_fx::build_extractor;
 use cardest_serve::{ModelRegistry, ServeConfig, Service};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn train(dataset: &Dataset, epochs: usize) -> CardNetEstimator {
     let fx = build_extractor(dataset, 16, 1);
@@ -78,6 +79,7 @@ fn main() {
 
     // 5. What did the service do all along?
     let stats = service.stats();
+    let latency = service.observer().total_histogram();
     println!(
         "served {} requests: {:.1}% cache hits, {} micro-batches (mean size {:.1}), \
          p50 {:?}, p99 {:?}",
@@ -85,8 +87,8 @@ fn main() {
         stats.hit_rate() * 100.0,
         stats.batches,
         stats.mean_batch_size(),
-        stats.latency_quantile(0.50),
-        stats.latency_quantile(0.99),
+        Duration::from_nanos(latency.quantile_ns(0.50)),
+        Duration::from_nanos(latency.quantile_ns(0.99)),
     );
     service.shutdown();
 }
